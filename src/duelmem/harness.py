@@ -8,13 +8,15 @@ and the memory policy, so repeated runs write byte-identical artifacts.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .kernels import AffineCosine, ExponentialTemp, Kernel, normalize
+from .kernels import KERNEL_FORMS, AffineCosine, Kernel, LabelOracle, normalize
 from .memory import ActiveMemory, POLICIES
 from .metrics import (
     MetricsRow,
@@ -26,7 +28,7 @@ from .metrics import (
     linear_probe,
     write_metrics_csv,
 )
-from .streams import Dominant, GaussianPairStream, LongTail, StreamConfig
+from .streams import Dominant, GaussianPairStream, Imbalance, LongTail, StreamConfig
 from .trainer import (
     FeatureExtractor,
     TrainState,
@@ -64,22 +66,16 @@ class EvalConfig:
     probe_steps: int = 200
 
     def __post_init__(self) -> None:
-        for name in (
-            "cadence",
-            "eval_per_class",
-            "probe_train_per_class",
-            "probe_test_per_class",
-            "probe_steps",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"eval.{name}: must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ConfigError(f"eval.{f.name}: must be >= 1")
 
 
 @dataclass
 class MemoryConfig:
     capacity: int = 256
     policy: str = "duel"
-    kernel: dict = field(default_factory=lambda: {"form": "affine"})
+    kernel: Kernel = AffineCosine()
     guarded: bool = False
 
     def __post_init__(self) -> None:
@@ -90,34 +86,23 @@ class MemoryConfig:
                 f"memory.policy: unknown policy {self.policy!r}; "
                 f"expected one of {POLICIES}"
             )
-        self.make_kernel()  # validates
+        if isinstance(self.kernel, LabelOracle):
+            raise ConfigError(
+                "memory.kernel.form: 'oracle' reads hidden labels; it is a test "
+                "fixture, not a runnable config"
+            )
 
     def make_kernel(self) -> Kernel:
-        form = self.kernel.get("form")
-        if form == "affine":
-            extra = set(self.kernel) - {"form"}
-            if extra:
-                raise ConfigError(f"memory.kernel: unknown fields {sorted(extra)}")
-            return AffineCosine()
-        if form == "exp":
-            extra = set(self.kernel) - {"form", "tau"}
-            if extra:
-                raise ConfigError(f"memory.kernel: unknown fields {sorted(extra)}")
-            tau = self.kernel.get("tau")
-            if not isinstance(tau, (int, float)) or not tau > 0:
-                raise ConfigError("memory.kernel.tau: must be a number > 0")
-            return ExponentialTemp(tau=float(tau))
-        raise ConfigError(
-            f"memory.kernel.form: expected 'affine' or 'exp', got {form!r}"
-        )
+        """The kernel the run's memory scores with."""
+        return self.kernel
 
 
 @dataclass
 class ExperimentConfig:
-    stream: StreamConfig
-    trainer: TrainerConfig
-    memory: MemoryConfig
-    eval: EvalConfig
+    stream: StreamConfig = field(default_factory=StreamConfig)
+    trainer: TrainerConfig = field(default_factory=TrainerConfig)
+    memory: MemoryConfig = field(default_factory=MemoryConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
     out_dir: str = "runs"
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
@@ -128,243 +113,119 @@ class ExperimentConfig:
             raise ConfigError("seeds: trial seeds must be distinct")
 
     def to_dict(self) -> dict:
-        imb = self.stream.imbalance
-        if isinstance(imb, Dominant):
-            imbalance = {"kind": "dominant", "rho_max": imb.rho_max}
-        else:
-            imbalance = {"kind": "longtail", "ratio": imb.ratio}
-        return {
-            "version": CONFIG_VERSION,
-            "stream": {
-                "n_classes": self.stream.n_classes,
-                "d_in": self.stream.d_in,
-                "separation": self.stream.separation,
-                "sigma": self.stream.sigma,
-                "sigma_aug": self.stream.sigma_aug,
-                "imbalance": imbalance,
-            },
-            "trainer": {
-                "batch_size": self.trainer.batch_size,
-                "tau": self.trainer.tau,
-                "epsilon": self.trainer.epsilon,
-                "negative_source": self.trainer.negative_source,
-                "memory_neg_count": self.trainer.memory_neg_count,
-                "momentum": self.trainer.momentum,
-                "lr": self.trainer.lr,
-                "optimizer": self.trainer.optimizer,
-                "beta1": self.trainer.beta1,
-                "beta2": self.trainer.beta2,
-                "delta": self.trainer.delta,
-                "steps": self.trainer.steps,
-                "d_out": self.trainer.d_out,
-                "hidden": self.trainer.hidden,
-            },
-            "memory": {
-                "capacity": self.memory.capacity,
-                "policy": self.memory.policy,
-                "kernel": dict(self.memory.kernel),
-                "guarded": self.memory.guarded,
-            },
-            "eval": {
-                "cadence": self.eval.cadence,
-                "eval_per_class": self.eval.eval_per_class,
-                "probe_train_per_class": self.eval.probe_train_per_class,
-                "probe_test_per_class": self.eval.probe_test_per_class,
-                "probe_steps": self.eval.probe_steps,
-            },
-            "out_dir": self.out_dir,
-            "seeds": list(self.seeds),
-        }
+        """The JSON form of this config; parse_config reads it back."""
+        return {"version": CONFIG_VERSION, **_encode(self)}
 
 
 def default_config_dict() -> dict:
     """The desk-scale defaults as a plain JSON-ready dict."""
-    return ExperimentConfig(
-        stream=StreamConfig(),
-        trainer=TrainerConfig(),
-        memory=MemoryConfig(),
-        eval=EvalConfig(),
-    ).to_dict()
+    return ExperimentConfig().to_dict()
 
 
-def _require_keys(section: dict, allowed: set[str], path: str) -> None:
-    unknown = set(section) - allowed
+# -- JSON codec ---------------------------------------------------------------
+# The config dataclasses are the schema: field names, types and defaults are
+# read from them. A field typed as a tagged union is a JSON object whose tag
+# key selects the class.
+
+_UNIONS = {
+    Imbalance: ("kind", {"dominant": Dominant, "longtail": LongTail}),
+    Kernel: ("form", KERNEL_FORMS),
+}
+_TAGS = {
+    cls: {key: tag} for key, table in _UNIONS.values() for tag, cls in table.items()
+}
+# Stream and trainer seeds are derived from the run's seed, never configured.
+_NOT_IN_JSON = {"seed"}
+_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
+
+
+@functools.cache
+def _json_fields(cls) -> tuple:
+    """(field, resolved type) for each JSON field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls) if f.name not in _NOT_IN_JSON)
+
+
+def _encode(value):
+    if is_dataclass(value):
+        return {
+            **_TAGS.get(type(value), {}),
+            **{
+                f.name: _encode(getattr(value, f.name))
+                for f, _ in _json_fields(type(value))
+            },
+        }
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _is(value, kind) -> bool:
+    """JSON type test: a boolean is not a number; an integer is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _decode(hint, value, path: str):
+    if hint in _UNIONS:
+        key, table = _UNIONS[hint]
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path}: expected an object")
+        tag = value.get(key)
+        if not isinstance(tag, str) or tag not in table:
+            raise ConfigError(
+                f"{path}.{key}: expected one of {list(table)}, got {tag!r}"
+            )
+        return _decode(table[tag], {k: v for k, v in value.items() if k != key}, path)
+    if is_dataclass(hint):
+        return _decode_section(hint, value, path)
+    args = typing.get_args(hint)
+    if type(None) in args:
+        (inner,) = (a for a in args if a is not type(None))
+        if value is not None and not _is(value, inner):
+            raise ConfigError(f"{path}: expected {_EXPECTED[inner]} or null")
+        return None if value is None else _decode(inner, value, path)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list) or not all(_is(v, args[0]) for v in value):
+            raise ConfigError(f"{path}: expected a list of {args[0].__name__}")
+        return tuple(value)
+    if not _is(value, hint):
+        raise ConfigError(f"{path}: expected {_EXPECTED[hint]}")
+    return float(value) if hint is float else value
+
+
+def _decode_section(cls, raw, path: str):
+    where = path or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object")
+    schema = _json_fields(cls)
+    unknown = set(raw) - {f.name for f, _ in schema}
     if unknown:
-        raise ConfigError(f"{path}: unknown fields {sorted(unknown)}")
-
-
-def _get_number(section: dict, key: str, path: str, default):
-    value = section.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return value
-
-
-def _get_int(section: dict, key: str, path: str, default):
-    value = section.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return value
+        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
+    kwargs = {}
+    for f, hint in schema:
+        sub = f"{path}.{f.name}" if path else f.name
+        if f.name in raw:
+            kwargs[f.name] = _decode(hint, raw[f.name], sub)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{sub}: missing")
+    try:
+        return cls(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict; unknown fields anywhere are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
-    _require_keys(
-        raw,
-        {"version", "stream", "trainer", "memory", "eval", "out_dir", "seeds"},
-        "config",
-    )
     if raw.get("version") != CONFIG_VERSION:
         raise ConfigError(
             f"version: expected {CONFIG_VERSION}, got {raw.get('version')!r}"
         )
-
-    s = raw.get("stream", {})
-    _require_keys(
-        s,
-        {"n_classes", "d_in", "separation", "sigma", "sigma_aug", "imbalance"},
-        "stream",
-    )
-    imb_raw = s.get("imbalance", {"kind": "dominant", "rho_max": 0.75})
-    if not isinstance(imb_raw, dict):
-        raise ConfigError("stream.imbalance: expected an object")
-    kind = imb_raw.get("kind")
-    if kind == "dominant":
-        _require_keys(imb_raw, {"kind", "rho_max"}, "stream.imbalance")
-        imbalance = Dominant(_get_number(imb_raw, "rho_max", "stream.imbalance", 0.75))
-    elif kind == "longtail":
-        _require_keys(imb_raw, {"kind", "ratio"}, "stream.imbalance")
-        imbalance = LongTail(_get_number(imb_raw, "ratio", "stream.imbalance", 10.0))
-    else:
-        raise ConfigError(
-            f"stream.imbalance.kind: expected 'dominant' or 'longtail', got {kind!r}"
-        )
-    try:
-        stream = StreamConfig(
-            n_classes=_get_int(s, "n_classes", "stream", 10),
-            d_in=_get_int(s, "d_in", "stream", 32),
-            separation=float(_get_number(s, "separation", "stream", 1.0)),
-            sigma=float(_get_number(s, "sigma", "stream", 0.35)),
-            sigma_aug=float(_get_number(s, "sigma_aug", "stream", 0.35)),
-            imbalance=imbalance,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"stream: {exc}") from exc
-
-    t = raw.get("trainer", {})
-    _require_keys(
-        t,
-        {
-            "batch_size",
-            "tau",
-            "epsilon",
-            "negative_source",
-            "memory_neg_count",
-            "momentum",
-            "lr",
-            "optimizer",
-            "beta1",
-            "beta2",
-            "delta",
-            "steps",
-            "d_out",
-            "hidden",
-        },
-        "trainer",
-    )
-    momentum = t.get("momentum", 0.9)
-    if momentum is not None and (
-        not isinstance(momentum, (int, float)) or isinstance(momentum, bool)
-    ):
-        raise ConfigError("trainer.momentum: expected a number or null")
-    source = t.get("negative_source", "mixed")
-    if not isinstance(source, str):
-        raise ConfigError("trainer.negative_source: expected a string")
-    optimizer = t.get("optimizer", "adam")
-    if not isinstance(optimizer, str):
-        raise ConfigError("trainer.optimizer: expected a string")
-    hidden = t.get("hidden", None)
-    if hidden is not None and (not isinstance(hidden, int) or isinstance(hidden, bool)):
-        raise ConfigError("trainer.hidden: expected an integer or null")
-    try:
-        trainer = TrainerConfig(
-            batch_size=_get_int(t, "batch_size", "trainer", 64),
-            tau=float(_get_number(t, "tau", "trainer", 0.5)),
-            epsilon=float(_get_number(t, "epsilon", "trainer", 1.0)),
-            negative_source=source,
-            memory_neg_count=_get_int(t, "memory_neg_count", "trainer", 128),
-            momentum=None if momentum is None else float(momentum),
-            lr=float(_get_number(t, "lr", "trainer", 0.01)),
-            optimizer=optimizer,
-            beta1=float(_get_number(t, "beta1", "trainer", 0.9)),
-            beta2=float(_get_number(t, "beta2", "trainer", 0.999)),
-            delta=float(_get_number(t, "delta", "trainer", 1e-8)),
-            steps=_get_int(t, "steps", "trainer", 800),
-            d_out=_get_int(t, "d_out", "trainer", 16),
-            hidden=hidden,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"trainer: {exc}") from exc
-
-    m = raw.get("memory", {})
-    _require_keys(m, {"capacity", "policy", "kernel", "guarded"}, "memory")
-    policy = m.get("policy", "duel")
-    if not isinstance(policy, str):
-        raise ConfigError("memory.policy: expected a string")
-    kernel = m.get("kernel", {"form": "affine"})
-    if not isinstance(kernel, dict):
-        raise ConfigError("memory.kernel: expected an object")
-    guarded = m.get("guarded", False)
-    if not isinstance(guarded, bool):
-        raise ConfigError("memory.guarded: expected a boolean")
-    memory = MemoryConfig(
-        capacity=_get_int(m, "capacity", "memory", 256),
-        policy=policy,
-        kernel=kernel,
-        guarded=guarded,
-    )
-
-    e = raw.get("eval", {})
-    _require_keys(
-        e,
-        {
-            "cadence",
-            "eval_per_class",
-            "probe_train_per_class",
-            "probe_test_per_class",
-            "probe_steps",
-        },
-        "eval",
-    )
-    eval_cfg = EvalConfig(
-        cadence=_get_int(e, "cadence", "eval", 50),
-        eval_per_class=_get_int(e, "eval_per_class", "eval", 40),
-        probe_train_per_class=_get_int(e, "probe_train_per_class", "eval", 40),
-        probe_test_per_class=_get_int(e, "probe_test_per_class", "eval", 40),
-        probe_steps=_get_int(e, "probe_steps", "eval", 200),
-    )
-
-    out_dir = raw.get("out_dir", "runs")
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir: expected a string")
-    seeds = raw.get("seeds", [0, 1, 2, 3, 4])
-    if (
-        not isinstance(seeds, list)
-        or not seeds
-        or not all(isinstance(x, int) and not isinstance(x, bool) for x in seeds)
-    ):
-        raise ConfigError("seeds: expected a nonempty list of integers")
-
-    return ExperimentConfig(
-        stream=stream,
-        trainer=trainer,
-        memory=memory,
-        eval=eval_cfg,
-        out_dir=out_dir,
-        seeds=tuple(seeds),
-    )
+    sections = {k: v for k, v in raw.items() if k != "version"}
+    return _decode(ExperimentConfig, sections, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -406,15 +267,7 @@ def run_experiment(
     """
     ss_stream, ss_init, ss_neg, ss_mem, ss_eval = _child_seeds(seed, 5)
 
-    stream_cfg = StreamConfig(
-        n_classes=cfg.stream.n_classes,
-        d_in=cfg.stream.d_in,
-        separation=cfg.stream.separation,
-        sigma=cfg.stream.sigma,
-        sigma_aug=cfg.stream.sigma_aug,
-        imbalance=cfg.stream.imbalance,
-        seed=seed,
-    )
+    stream_cfg = replace(cfg.stream, seed=seed)
     stream = GaussianPairStream(
         stream_cfg, seed=np.random.default_rng(ss_stream).integers(2**31)
     )
@@ -428,24 +281,12 @@ def run_experiment(
     memory = ActiveMemory(
         cfg.memory.capacity,
         cfg.trainer.d_out,
-        cfg.memory.make_kernel(),
+        cfg.memory.kernel,
         cfg.memory.policy,
         seed=np.random.default_rng(ss_mem).integers(2**31),
     )
-    trainer_cfg = TrainerConfig(
-        batch_size=cfg.trainer.batch_size,
-        tau=cfg.trainer.tau,
-        epsilon=cfg.trainer.epsilon,
-        negative_source=cfg.trainer.negative_source,
-        memory_neg_count=cfg.trainer.memory_neg_count,
-        momentum=cfg.trainer.momentum,
-        lr=cfg.trainer.lr,
-        optimizer=cfg.trainer.optimizer,
-        beta1=cfg.trainer.beta1,
-        beta2=cfg.trainer.beta2,
-        delta=cfg.trainer.delta,
-        steps=cfg.trainer.steps,
-        seed=int(np.random.default_rng(ss_neg).integers(2**31)),
+    trainer_cfg = replace(
+        cfg.trainer, seed=int(np.random.default_rng(ss_neg).integers(2**31))
     )
     state = TrainState.create(
         trainer_cfg, extractor, memory, guarded_memory=cfg.memory.guarded
@@ -554,19 +395,7 @@ def bench_policies(
     for policy in policies:
         per_seed = []
         for seed in cfg.seeds:
-            run_cfg = ExperimentConfig(
-                stream=cfg.stream,
-                trainer=cfg.trainer,
-                memory=MemoryConfig(
-                    capacity=cfg.memory.capacity,
-                    policy=policy,
-                    kernel=dict(cfg.memory.kernel),
-                    guarded=cfg.memory.guarded,
-                ),
-                eval=cfg.eval,
-                out_dir=cfg.out_dir,
-                seeds=cfg.seeds,
-            )
+            run_cfg = replace(cfg, memory=replace(cfg.memory, policy=policy))
             result = run_experiment(
                 run_cfg, seed, os.path.join(out_dir, f"{policy}_seed{seed}")
             )
@@ -611,16 +440,7 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
         raise ValueError("checkpoint carries no experiment config to sample from")
     cfg = parse_config({k: v for k, v in exp_cfg.items() if k != "seed"})
     seed = exp_cfg.get("seed", 0)
-    stream_cfg = StreamConfig(
-        n_classes=cfg.stream.n_classes,
-        d_in=cfg.stream.d_in,
-        separation=cfg.stream.separation,
-        sigma=cfg.stream.sigma,
-        sigma_aug=cfg.stream.sigma_aug,
-        imbalance=cfg.stream.imbalance,
-        seed=seed,
-    )
-    stream = GaussianPairStream(stream_cfg)
+    stream = GaussianPairStream(replace(cfg.stream, seed=seed))
     if per_class == 0:
         write_embedding_csv(
             out_path, np.zeros((0, state.extractor.d_out)), labels=None

@@ -7,16 +7,19 @@ latent class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 __all__ = [
     "AffineCosine",
     "ExponentialTemp",
+    "KERNEL_FORMS",
     "Kernel",
     "LabelOracle",
     "cosine",
+    "kernel_from_dict",
+    "kernel_to_dict",
     "mdp",
     "normalize",
     "pair_scores",
@@ -72,6 +75,27 @@ class LabelOracle:
 
 
 Kernel = ExponentialTemp | AffineCosine | LabelOracle
+
+# The JSON tag of each kernel class. Configs and checkpoints both store a
+# kernel as {"form": tag, **parameters}.
+KERNEL_FORMS = {"affine": AffineCosine, "exp": ExponentialTemp, "oracle": LabelOracle}
+
+
+def kernel_to_dict(kernel: Kernel) -> dict:
+    """The kernel's JSON form: its tag plus its dataclass fields."""
+    for form, cls in KERNEL_FORMS.items():
+        if type(kernel) is cls:
+            return {"form": form, **asdict(kernel)}
+    raise ValueError(f"unknown kernel {kernel!r}")
+
+
+def kernel_from_dict(d: dict) -> Kernel:
+    """Inverse of kernel_to_dict."""
+    params = dict(d)
+    form = params.pop("form", None)
+    if form not in KERNEL_FORMS:
+        raise ValueError(f"unknown kernel form {form!r}")
+    return KERNEL_FORMS[form](**params)
 
 
 def pair_scores(

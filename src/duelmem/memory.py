@@ -230,6 +230,11 @@ class ActiveMemory:
 
         Returns one EvictionEvent per accepted item, in offer order.
         """
+        return self._push(self.policy, embeddings, labels)
+
+    def _push(
+        self, policy: str, embeddings: np.ndarray, labels: np.ndarray | None
+    ) -> list[EvictionEvent]:
         X = np.asarray(embeddings, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -266,17 +271,7 @@ class ActiveMemory:
             self._refresh_scores()
         if start == X.shape[0]:
             return events
-
-        rest, rest_lab = X[start:], lab[start:]
-        handler = {
-            "duel": self._push_duel,
-            "duel_naive": self._push_duel_naive,
-            "fifo": self._push_fifo,
-            "random": self._push_random,
-            "reservoir": self._push_reservoir,
-        }[self.policy]
-        events.extend(handler(rest, rest_lab))
-        return events
+        return events + _PUSH[policy](self, X[start:], lab[start:])
 
     def _combined(self, X: np.ndarray, lab: np.ndarray):
         k, b = self._count, X.shape[0]
@@ -445,62 +440,78 @@ class ActiveMemory:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._emb = state["emb"].copy()
-        self._labels = state["labels"].copy()
-        self._steps = state["steps"].copy()
-        self._scores = state["scores"].copy()
-        self._count = int(state["count"])
-        self._seen = int(state["seen"])
+        """Restore a state_dict, validating it first in O(capacity * dim)."""
+        emb = np.array(state["emb"], dtype=np.float64)
+        labels = np.array(state["labels"], dtype=np.int64)
+        steps = np.array(state["steps"], dtype=np.int64)
+        scores = np.array(state["scores"], dtype=np.float64)
+        count, seen = int(state["count"]), int(state["seen"])
+        if emb.shape != (self.capacity, self.dim):
+            raise ValueError(
+                f"emb: expected shape {(self.capacity, self.dim)}, got {emb.shape}"
+            )
+        for name, column in (("labels", labels), ("steps", steps), ("scores", scores)):
+            if column.shape != (self.capacity,):
+                raise ValueError(
+                    f"{name}: expected shape {(self.capacity,)}, got {column.shape}"
+                )
+        if not 0 <= count <= self.capacity:
+            raise ValueError(f"count: {count} outside [0, {self.capacity}]")
+        if seen < count:
+            raise ValueError(f"seen: {seen} is below count {count}")
+        if not np.all(np.isfinite(emb[:count])):
+            raise ValueError("emb: stored entries contain non-finite values")
+        if not np.all(np.abs(np.linalg.norm(emb[:count], axis=1) - 1.0) <= 1e-9):
+            raise ValueError("emb: stored entries must be unit-norm within 1e-9")
+        self._emb, self._labels, self._steps, self._scores = emb, labels, steps, scores
+        self._count, self._seen = count, seen
         self.rng.bit_generator.state = state["rng"]
 
 
-def _update_with_policy(
-    mem: ActiveMemory,
-    policy: str,
-    embeddings: np.ndarray,
-    labels: np.ndarray | None,
-) -> list[EvictionEvent]:
-    previous = mem.policy
-    mem.policy = policy
-    try:
-        return mem.push_batch(embeddings, labels)
-    finally:
-        mem.policy = previous
+# The update path of each policy, called with the entries that must displace
+# others once the memory is full.
+_PUSH = {
+    "duel": ActiveMemory._push_duel,
+    "duel_naive": ActiveMemory._push_duel_naive,
+    "fifo": ActiveMemory._push_fifo,
+    "random": ActiveMemory._push_random,
+    "reservoir": ActiveMemory._push_reservoir,
+}
 
 
 def duel_update_incremental(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
 ) -> list[EvictionEvent]:
     """One batched DUEL update via the incremental masked-score path."""
-    return _update_with_policy(mem, "duel", embeddings, labels)
+    return mem._push("duel", embeddings, labels)
 
 
 def duel_update_naive(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
 ) -> list[EvictionEvent]:
     """One batched DUEL update via the full-recompute reference path."""
-    return _update_with_policy(mem, "duel_naive", embeddings, labels)
+    return mem._push("duel_naive", embeddings, labels)
 
 
 def fifo_update(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
 ) -> list[EvictionEvent]:
     """Replace the oldest entries with the batch."""
-    return _update_with_policy(mem, "fifo", embeddings, labels)
+    return mem._push("fifo", embeddings, labels)
 
 
 def random_update(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
 ) -> list[EvictionEvent]:
     """Replace uniformly random entries with the batch (memory's own rng)."""
-    return _update_with_policy(mem, "random", embeddings, labels)
+    return mem._push("random", embeddings, labels)
 
 
 def reservoir_update(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
 ) -> list[EvictionEvent]:
     """Reservoir-sample the batch: keep each item w.p. capacity/seen."""
-    return _update_with_policy(mem, "reservoir", embeddings, labels)
+    return mem._push("reservoir", embeddings, labels)
 
 
 def guarded_update(

@@ -35,7 +35,7 @@ __all__ = [
 class Dominant:
     """One class takes rho_max; the rest share the remainder equally."""
 
-    rho_max: float
+    rho_max: float = 0.75
 
     def probs(self, n_classes: int) -> np.ndarray:
         if n_classes < 2:
@@ -52,7 +52,7 @@ class Dominant:
 class LongTail:
     """Geometric decay by class rank with head/tail frequency ratio."""
 
-    ratio: float
+    ratio: float = 10.0
 
     def probs(self, n_classes: int) -> np.ndarray:
         return longtail_probs(n_classes, self.ratio)
@@ -81,7 +81,7 @@ class StreamConfig:
     separation: float = 1.0
     sigma: float = 0.35
     sigma_aug: float = 0.35
-    imbalance: Imbalance = Dominant(0.75)
+    imbalance: Imbalance = Dominant()
     seed: int = 0
 
     def __post_init__(self) -> None:

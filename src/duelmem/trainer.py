@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .kernels import normalize
+from .kernels import kernel_from_dict, kernel_to_dict, normalize
 from .memory import ActiveMemory, EvictionEvent, guarded_update
 
 __all__ = [
@@ -457,52 +457,30 @@ def numerical_gradient(loss_fn, params: dict, h: float = 1e-5) -> dict:
 
 # -- checkpointing ----------------------------------------------------------
 
-
-def _rng_state_json(rng: np.random.Generator) -> str:
-    return json.dumps(rng.bit_generator.state)
-
-
-def _rng_from_json(text: str) -> np.random.Generator:
-    rng = np.random.default_rng()
-    rng.bit_generator.state = json.loads(text)
-    return rng
+# ActiveMemory.state_dict entries stored as npz arrays; the rest go in meta.
+_MEMORY_ARRAYS = ("emb", "labels", "steps", "scores")
 
 
 def save_checkpoint(path, state: TrainState, experiment_config: dict | None = None) -> None:
     """Dump architecture, parameters, optimizer moments, memory and RNG state."""
-    cfg = state.config
+    mem = state.memory
+    mem_state = mem.state_dict()
     meta = {
         "version": CHECKPOINT_VERSION,
-        "trainer": {
-            "batch_size": cfg.batch_size,
-            "tau": cfg.tau,
-            "epsilon": cfg.epsilon,
-            "negative_source": cfg.negative_source,
-            "memory_neg_count": cfg.memory_neg_count,
-            "momentum": cfg.momentum,
-            "lr": cfg.lr,
-            "optimizer": cfg.optimizer,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "delta": cfg.delta,
-            "steps": cfg.steps,
-            "seed": cfg.seed,
-            "d_out": cfg.d_out,
-            "hidden": cfg.hidden,
-        },
+        "trainer": asdict(state.config),
         "arch": {
             "d_in": state.extractor.d_in,
             "d_out": state.extractor.d_out,
             "hidden": state.extractor.hidden,
         },
         "memory": {
-            "capacity": state.memory.capacity,
-            "dim": state.memory.dim,
-            "policy": state.memory.policy,
-            "count": state.memory.size,
-            "seen": state.memory._seen,
-            "kernel": _kernel_to_dict(state.memory.kernel),
-            "rng": state.memory.rng.bit_generator.state,
+            "capacity": mem.capacity,
+            "dim": mem.dim,
+            "policy": mem.policy,
+            "count": mem_state["count"],
+            "seen": mem_state["seen"],
+            "kernel": kernel_to_dict(mem.kernel),
+            "rng": mem_state["rng"],
         },
         "step": state.step,
         "adam_t": state.adam_t,
@@ -521,38 +499,27 @@ def save_checkpoint(path, state: TrainState, experiment_config: dict | None = No
             arrays[f"am.{k}"] = v
         for k, v in state.adam_v.items():
             arrays[f"av.{k}"] = v
-    arrays["mem.emb"] = state.memory._emb
-    arrays["mem.labels"] = state.memory._labels
-    arrays["mem.steps"] = state.memory._steps
-    arrays["mem.scores"] = state.memory._scores
+    for key in _MEMORY_ARRAYS:
+        arrays[f"mem.{key}"] = mem_state[key]
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
-def _kernel_to_dict(kernel) -> dict:
-    from .kernels import AffineCosine, ExponentialTemp, LabelOracle
-
-    if isinstance(kernel, AffineCosine):
-        return {"form": "affine"}
-    if isinstance(kernel, ExponentialTemp):
-        return {"form": "exp", "tau": kernel.tau}
-    if isinstance(kernel, LabelOracle):
-        return {"form": "oracle"}
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def _kernel_from_dict(d: dict):
-    from .kernels import AffineCosine, ExponentialTemp, LabelOracle
-
-    form = d["form"]
-    if form == "affine":
-        return AffineCosine()
-    if form == "exp":
-        return ExponentialTemp(tau=d["tau"])
-    if form == "oracle":
-        return LabelOracle()
-    raise ValueError(f"unknown kernel form {form!r}")
+def _load_params(data, prefix: str, template: FeatureExtractor) -> dict:
+    """Arrays under prefix, checked against the template's keys and shapes."""
+    params = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
+    if set(params) != set(template.params):
+        raise ValueError(
+            f"{prefix}*: expected parameters {sorted(template.params)}, "
+            f"got {sorted(params)}"
+        )
+    for k, v in params.items():
+        if v.shape != template.params[k].shape:
+            raise ValueError(
+                f"{prefix}{k}: expected shape {template.params[k].shape}, got {v.shape}"
+            )
+    return params
 
 
 def load_checkpoint(path) -> tuple[TrainState, dict | None]:
@@ -563,45 +530,41 @@ def load_checkpoint(path) -> tuple[TrainState, dict | None]:
         cfg = TrainerConfig(**meta["trainer"])
         arch = meta["arch"]
         extractor = FeatureExtractor(arch["d_in"], arch["d_out"], arch["hidden"])
-        extractor.params = {
-            k[2:]: data[k].copy() for k in data.files if k.startswith("q.")
-        }
+        extractor.params = _load_params(data, "q.", extractor)
         key = None
-        key_params = {k[2:]: data[k].copy() for k in data.files if k.startswith("k.")}
-        if key_params:
+        if any(k.startswith("k.") for k in data.files):
             key = FeatureExtractor(arch["d_in"], arch["d_out"], arch["hidden"])
-            key.params = key_params
+            key.params = _load_params(data, "k.", key)
 
         mem_meta = meta["memory"]
         memory = ActiveMemory(
             mem_meta["capacity"],
             mem_meta["dim"],
-            _kernel_from_dict(mem_meta["kernel"]),
+            kernel_from_dict(mem_meta["kernel"]),
             mem_meta["policy"],
         )
-        memory._emb = data["mem.emb"].copy()
-        memory._labels = data["mem.labels"].copy()
-        memory._steps = data["mem.steps"].copy()
-        memory._scores = data["mem.scores"].copy()
-        memory._count = mem_meta["count"]
-        memory._seen = mem_meta["seen"]
-        memory.rng.bit_generator.state = mem_meta["rng"]
+        memory.load_state_dict(
+            {
+                **{name: data[f"mem.{name}"] for name in _MEMORY_ARRAYS},
+                "count": mem_meta["count"],
+                "seen": mem_meta["seen"],
+                "rng": mem_meta["rng"],
+            }
+        )
+        rng = np.random.default_rng()
+        rng.bit_generator.state = meta["rng"]
 
         state = TrainState(
             config=cfg,
             extractor=extractor,
             key_extractor=key,
             memory=memory,
-            rng=_rng_from_json(json.dumps(meta["rng"])),
+            rng=rng,
             step=meta["step"],
             adam_t=meta["adam_t"],
             guarded_memory=meta["guarded_memory"],
         )
         if cfg.optimizer == "adam":
-            state.adam_m = {
-                k[3:]: data[k].copy() for k in data.files if k.startswith("am.")
-            }
-            state.adam_v = {
-                k[3:]: data[k].copy() for k in data.files if k.startswith("av.")
-            }
+            state.adam_m = _load_params(data, "am.", extractor)
+            state.adam_v = _load_params(data, "av.", extractor)
         return state, meta["experiment_config"]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from duelmem.harness import (
     run_experiment,
 )
 from duelmem.streams import load_embedding_stream
+from duelmem.trainer import load_checkpoint
 
 
 def tiny_config_dict(**overrides) -> dict:
@@ -39,6 +41,52 @@ def tiny_config_dict(**overrides) -> dict:
     for key, value in overrides.items():
         raw[key] = value
     return raw
+
+
+# json.dumps(default_config_dict(), sort_keys=True): the bytes config.json is
+# built from. A dict comparison cannot see an int/float drift (1 == 1.0).
+DEFAULT_CONFIG_JSON = (
+    '{"eval": {"cadence": 50, "eval_per_class": 40, "probe_steps": 200, '
+    '"probe_test_per_class": 40, "probe_train_per_class": 40}, '
+    '"memory": {"capacity": 256, "guarded": false, "kernel": {"form": "affine"}, '
+    '"policy": "duel"}, "out_dir": "runs", "seeds": [0, 1, 2, 3, 4], '
+    '"stream": {"d_in": 32, "imbalance": {"kind": "dominant", "rho_max": 0.75}, '
+    '"n_classes": 10, "separation": 1.0, "sigma": 0.35, "sigma_aug": 0.35}, '
+    '"trainer": {"batch_size": 64, "beta1": 0.9, "beta2": 0.999, "d_out": 16, '
+    '"delta": 1e-08, "epsilon": 1.0, "hidden": null, "lr": 0.01, '
+    '"memory_neg_count": 128, "momentum": 0.9, "negative_source": "mixed", '
+    '"optimizer": "adam", "steps": 800, "tau": 0.5}, "version": 1}'
+)
+
+# Variant-only fields and the union each needs selected.
+VARIANT_FIELDS = {
+    "stream.imbalance.ratio": ("stream.imbalance", {"kind": "longtail", "ratio": 16.0}),
+    "memory.kernel.tau": ("memory.kernel", {"form": "exp", "tau": 0.5}),
+}
+
+
+def config_field_paths() -> list[str]:
+    """Dotted path of every field in the config, nested objects included."""
+    paths = []
+
+    def walk(section: dict, prefix: str) -> None:
+        for key, value in section.items():
+            paths.append(prefix + key)
+            if isinstance(value, dict):
+                walk(value, f"{prefix}{key}.")
+
+    walk({k: v for k, v in default_config_dict().items() if k != "version"}, "")
+    return paths + list(VARIANT_FIELDS)
+
+
+def set_path(raw: dict, path: str, value):
+    """Set raw at a dotted path; returns the value it replaces."""
+    *outer, last = path.split(".")
+    for key in outer:
+        raw = raw[key]
+    previous = raw.get(last)
+    raw[last] = value
+    return previous
 
 
 def read_csv(path) -> list[list[str]]:
@@ -125,6 +173,35 @@ class TestParseConfig:
         cfg = parse_config(raw)
         assert cfg.stream.imbalance.ratio == 16.0
 
+    def test_default_config_json_is_pinned(self):
+        assert json.dumps(default_config_dict(), sort_keys=True) == DEFAULT_CONFIG_JSON
+
+    @pytest.mark.parametrize("path", config_field_paths())
+    def test_wrong_type_names_exact_path(self, path):
+        raw = tiny_config_dict()
+        if path in VARIANT_FIELDS:
+            set_path(raw, *VARIANT_FIELDS[path])
+        current = set_path(raw, path, None)
+        set_path(raw, path, 5 if isinstance(current, str) else "x")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(raw)
+        # The exact path, then a colon: "stream.imbalance" must not be
+        # satisfied by a message about "stream.imbalance.kind".
+        assert re.search(rf"(^| ){re.escape(path)}:", str(exc.value)), str(exc.value)
+
+    def test_section_must_be_object(self):
+        raw = tiny_config_dict()
+        raw["eval"] = 5
+        with pytest.raises(ConfigError, match="eval: expected an object"):
+            parse_config(raw)
+
+    def test_union_parameters_default(self):
+        raw = tiny_config_dict()
+        raw["stream"]["imbalance"] = {"kind": "longtail"}
+        assert parse_config(raw).stream.imbalance.ratio == 10.0
+        raw["stream"]["imbalance"] = {"kind": "dominant"}
+        assert parse_config(raw).stream.imbalance.rho_max == 0.75
+
     def test_invalid_value_propagates_section(self):
         raw = tiny_config_dict()
         raw["trainer"]["tau"] = -1.0
@@ -205,6 +282,16 @@ class TestRunExperiment:
                 parse_config(raw), seed=0, out_dir=str(tmp_path / policy)
             )
             assert np.isfinite(result.final.loss)
+
+    def test_checkpoint_records_run_architecture(self, tmp_path):
+        raw = tiny_config_dict()
+        raw["trainer"]["hidden"] = 5
+        cfg = parse_config(raw)
+        out = tmp_path / "hidden"
+        run_experiment(cfg, seed=0, out_dir=str(out))
+        state, _ = load_checkpoint(out / "checkpoint.npz")
+        assert state.config.d_out == cfg.trainer.d_out == 4
+        assert state.config.hidden == cfg.trainer.hidden == 5
 
     def test_guarded_memory_runs(self, tmp_path):
         raw = tiny_config_dict()

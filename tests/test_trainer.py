@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,55 @@ class TestTrainStep:
         assert len(report.events) == 4  # full memory: one event per item
 
 
+def _rewrite_checkpoint(path, fault) -> None:
+    """Apply fault(arrays, meta) to a saved checkpoint in place."""
+    import json
+
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    fault(arrays, meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _truncate(key):
+    return lambda arrays, meta: arrays.update({key: arrays[key][:-1]})
+
+
+def _set_memory_meta(**values):
+    return lambda arrays, meta: meta["memory"].update(values)
+
+
+def _nan_row(arrays, meta):
+    arrays["mem.emb"][0, 0] = np.nan
+
+
+def _scaled_row(arrays, meta):
+    arrays["mem.emb"][0] *= 2.0
+
+
+# name -> (fault, field the error must name). The memory holds 8 of 8.
+CHECKPOINT_FAULTS = {
+    "emb_shape": (_truncate("mem.emb"), "emb"),
+    "labels_length": (_truncate("mem.labels"), "labels"),
+    "steps_length": (_truncate("mem.steps"), "steps"),
+    "scores_length": (_truncate("mem.scores"), "scores"),
+    "count_above_capacity": (_set_memory_meta(count=9), "count"),
+    "count_negative": (_set_memory_meta(count=-1), "count"),
+    "seen_below_count": (_set_memory_meta(seen=7), "seen"),
+    "non_finite_entry": (_nan_row, "emb"),
+    "non_unit_entry": (_scaled_row, "emb"),
+    "param_shape": (_truncate("q.W"), "q.W"),
+    "param_missing": (lambda arrays, meta: arrays.pop("k.b"), "k."),
+    "param_extra": (
+        lambda arrays, meta: arrays.update({"am.extra": np.zeros(3)}),
+        "am.",
+    ),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         state = _tiny_state()
@@ -368,6 +418,16 @@ class TestCheckpoint:
         X = np.random.default_rng(15).normal(size=(4, 4))
         Xp = X + 0.1
         assert train_step(state, X, Xp).loss == train_step(loaded, X, Xp).loss
+
+    @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
+    def test_corrupt_state_rejected(self, tmp_path, fault):
+        inject, field_name = CHECKPOINT_FAULTS[fault]
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, _tiny_state())
+        load_checkpoint(path)  # intact checkpoints load
+        _rewrite_checkpoint(path, inject)
+        with pytest.raises(ValueError, match=re.escape(field_name)):
+            load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
         import json
