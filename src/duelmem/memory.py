@@ -6,20 +6,41 @@ the entry with the largest row sum of the pairwise duplication-score matrix
 (self pair included), so the policy can be driven entirely by cached row
 sums.
 
-Batched updates follow a selection-mask scheme over the combined
-[memory; batch] score matrix, computed once per call:
+The cache `_scores` stays coherent across calls, and no update path builds a
+k x k score matrix. A batched DUEL update of b entries into a memory of k
+follows a selection-mask scheme over the pool [memory; batch]:
 
   * rows start selected for memory entries and deselected for the batch;
+    live scores start from the cached row sums, and the batch's own rows
+    come from one b x (k+b) cross block q(batch, pool);
   * per batch element: pick the selected row with the largest live score
     (lowest index on ties, grouped at _TIE_TOL), subtract its masked row from
     the live scores and zero it, then add the incoming row's masked scores,
     mark it selected, and credit it its own masked row sum plus MAX_SCORE for
-    the self pair.
+    the self pair. A victim's row is a row of the cross block when it came
+    in with this batch; a memory entry's row is computed on its own.
 
-Elements inserted earlier in the same call are therefore eviction candidates
-for later elements. `duel_naive` replays the same candidate pool but
-recomputes every score from scratch per replacement; both paths must produce
-identical eviction logs.
+That costs O(b (k+b) z) per call instead of O((k+b)^2 z). Elements inserted
+earlier in the same call are eviction candidates for later elements.
+`duel_naive` replays the same candidate pool but recomputes every score from
+the full pool matrix per replacement; both paths must produce identical
+eviction logs.
+
+Drift. The per-call changes to the live scores accumulate in a zero-based
+array that is folded into the cached sums once per call, so each cached sum
+takes one rounding at its own magnitude per call rather than two per
+replacement. The victim's row is computed exactly anyway, so its masked sum
+probes the cache for free: when it differs from the cached value by more
+than _DRIFT_TOL, the live scores are recomputed exactly before the choice is
+made.
+
+The baseline policies (fifo, random, reservoir) read no scores but keep them
+coherent for snapshots and for a later DUEL update: after a call, each
+surviving row gains q(row, new) - q(row, old) summed over the overwritten
+slots, and each overwritten slot gets its new row sum exactly. Only a slot's
+final content counts, so a slot replaced twice in one call needs nothing
+special. Appends below capacity and the naive path recompute the row sums
+from scratch, _ROW_BLOCK rows at a time.
 
 Eviction-log coordinates: DUEL events report the victim's index in the
 combined pool (entry order at call start, then batch order); the baseline
@@ -63,6 +84,15 @@ UNLABELED = -1
 # this tolerance (far above accumulated drift, far below genuine score gaps)
 # makes both paths break them identically, toward the lowest index.
 _TIE_TOL = 1e-9
+
+# A DUEL victim whose cached row sum differs from its exact row sum by more
+# than this triggers an exact recompute of the live scores. Summation noise
+# stays near 1e-11 over thousands of calls; real faults are far larger.
+_DRIFT_TOL = 1e-10
+
+# Rows per block when scores are summed over the whole memory, so that no
+# k x k matrix is ever live (128 rows against 4096 entries is 4 MB).
+_ROW_BLOCK = 128
 
 
 def _tied_argmax(values: np.ndarray) -> int:
@@ -186,15 +216,24 @@ class ActiveMemory:
             return labels
         return None
 
+    def _row_sums(self, X, Y, labels_x, labels_y) -> np.ndarray:
+        """Row sums of q(X, Y), _ROW_BLOCK rows of X at a time, so that no
+        len(X) x len(Y) matrix is ever live.
+
+        Labels are passed as the kernel reads them (see _kernel_labels).
+        """
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            lx = None if labels_x is None else labels_x[rows]
+            out[rows] = pair_scores(X[rows], Y, self.kernel, lx, labels_y).sum(axis=1)
+        return out
+
     def recomputed_scores(self) -> np.ndarray:
         """Row sums recomputed from scratch; the cache-coherence oracle."""
-        n = self._count
-        if n == 0:
-            return np.zeros(0)
-        S = self_scores(
-            self._emb[:n], self.kernel, self._kernel_labels(self._labels[:n])
-        )
-        return S.sum(axis=1)
+        E = self._emb[: self._count]
+        labels = self._kernel_labels(self._labels[: self._count])
+        return self._row_sums(E, E, labels, labels)
 
     def _refresh_scores(self) -> None:
         self._scores[: self._count] = self.recomputed_scores()
@@ -210,16 +249,13 @@ class ActiveMemory:
     def duel_select_naive(self) -> int:
         """Same selection via per-entry distinctiveness, computed fresh.
 
-        argmin of -log(mean q) is argmax of the row sums; ties group on the
-        row-sum scale so the two paths agree bitwise.
+        argmin of -log(mean q) is argmax of the row sums, so this is the
+        argmax of recomputed_scores; ties group on the row-sum scale so the
+        two paths agree bitwise.
         """
-        n = self._count
-        if n == 0:
+        if self._count == 0:
             raise ValueError("memory is empty")
-        S = self_scores(
-            self._emb[:n], self.kernel, self._kernel_labels(self._labels[:n])
-        )
-        return _tied_argmax(S.sum(axis=1))
+        return _tied_argmax(self.recomputed_scores())
 
     # -- updates ----------------------------------------------------------
 
@@ -274,6 +310,7 @@ class ActiveMemory:
         return events + _PUSH[policy](self, X[start:], lab[start:])
 
     def _combined(self, X: np.ndarray, lab: np.ndarray):
+        """The pool and its full (k+b) x (k+b) score matrix, for duel_naive."""
         k, b = self._count, X.shape[0]
         emb = np.vstack([self._emb[:k], X])
         labels = np.concatenate([self._labels[:k], lab])
@@ -295,22 +332,50 @@ class ActiveMemory:
             self._scores[: self._count] = live_scores[keep]
 
     def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
-        k, b, emb, labels, ids, S = self._combined(X, lab)
+        k, b = self._count, X.shape[0]
+        pool = np.vstack([self._emb[:k], X])
+        labels = np.concatenate([self._labels[:k], lab])
+        ids = np.concatenate(
+            [self._steps[:k], self._seen + np.arange(b, dtype=np.int64)]
+        )
+        kl = self._kernel_labels(labels)
+        # Row i - k of the b x (k+b) cross block is row i of the pool's score
+        # matrix, for batch entry i.
+        cross = pair_scores(X, pool, self.kernel, None if kl is None else kl[k:], kl)
+
+        def row(j: int) -> np.ndarray:
+            if j >= k:
+                return cross[j - k]
+            lj = None if kl is None else kl[j : j + 1]
+            return pair_scores(pool[j : j + 1], pool, self.kernel, lj, kl)[0]
+
         selection = np.concatenate([np.ones(k, dtype=bool), np.zeros(b, dtype=bool)])
-        score = np.concatenate([S[:k, :k].sum(axis=1), np.zeros(b)])
+        base = np.concatenate([self._scores[:k], np.zeros(b)])
+        delta = np.zeros(k + b)  # this call's changes, folded in at the end
         events = []
         for i in range(k, k + b):
-            j = _tied_argmax(score)
-            score -= S[j] * selection
+            live = base + delta
+            j = _tied_argmax(live)
+            gone = row(j) * selection
+            # gone.sum() is j's exact row sum, a free probe of the cache.
+            if abs(gone.sum() - live[j]) > _DRIFT_TOL:
+                base = np.zeros(k + b)
+                sel = np.flatnonzero(selection)
+                lsel = None if kl is None else kl[sel]
+                base[sel] = self._row_sums(pool[sel], pool[sel], lsel, lsel)
+                delta[:] = 0.0
+                j = _tied_argmax(base)
+                gone = row(j) * selection
+            delta -= gone
             selection[j] = False
-            score[j] = 0.0
-            t = S[i] * selection
-            score += t
+            base[j] = delta[j] = 0.0
+            t = cross[i - k] * selection
+            delta += t
             selection[i] = True
-            score[i] = t.sum() + MAX_SCORE
+            base[i] = t.sum() + MAX_SCORE
             events.append(EvictionEvent(j, int(ids[i])))
         self._seen += b
-        self._compact(selection, emb, labels, ids, live_scores=score)
+        self._compact(selection, pool, labels, ids, live_scores=base + delta)
         return events
 
     def _push_duel_naive(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
@@ -330,45 +395,64 @@ class ActiveMemory:
         return events
 
     def _push_fifo(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
-        events = []
+        events, old = [], {}
         for r in range(X.shape[0]):
             victim = int(np.argmin(self._steps[: self._count]))
-            self._replace(victim, X[r], lab[r])
+            self._replace(victim, X[r], lab[r], old)
             events.append(EvictionEvent(victim, self._seen - 1))
-        self._refresh_scores()
+        self._rescore_replaced(old)
         return events
 
     def _push_random(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
-        events = []
+        events, old = [], {}
         for r in range(X.shape[0]):
             victim = int(self.rng.integers(self._count))
-            self._replace(victim, X[r], lab[r])
+            self._replace(victim, X[r], lab[r], old)
             events.append(EvictionEvent(victim, self._seen - 1))
-        self._refresh_scores()
+        self._rescore_replaced(old)
         return events
 
     def _push_reservoir(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
         """Keep each offered item with probability capacity / seen_count."""
-        events = []
-        replaced = False
+        events, old = [], {}
         for r in range(X.shape[0]):
-            self._seen += 1
-            if self.rng.random() < self.capacity / self._seen:
+            if self.rng.random() < self.capacity / (self._seen + 1):
                 victim = int(self.rng.integers(self._count))
-                self._emb[victim] = X[r]
-                self._labels[victim] = lab[r]
-                self._steps[victim] = self._seen - 1
+                self._replace(victim, X[r], lab[r], old)
                 events.append(EvictionEvent(victim, self._seen - 1))
-                replaced = True
-        if replaced:
-            self._refresh_scores()
+            else:
+                self._seen += 1
+        self._rescore_replaced(old)
         return events
 
-    def _replace(self, victim: int, emb: np.ndarray, label: int) -> None:
+    def _replace(self, victim: int, emb: np.ndarray, label: int, old: dict) -> None:
+        """Overwrite a slot, recording its content at call start in old."""
+        if victim not in old:
+            old[victim] = (self._emb[victim].copy(), int(self._labels[victim]))
         self._emb[victim] = emb
         self._labels[victim] = label
         self._steps[victim] = self._seen
         self._seen += 1
+
+    def _rescore_replaced(self, old: dict) -> None:
+        """Bring the cached row sums up to date after in-place replacements.
+
+        old maps each overwritten slot to its (embedding, label) at call
+        start; the slots now hold their final content.
+        """
+        if not old:
+            return
+        n = self._count
+        slots = np.fromiter(old, dtype=np.int64, count=len(old))
+        E, labels = self._emb[:n], self._labels[:n]
+        before = np.array([e for e, _ in old.values()])
+        before_labels = np.array([label for _, label in old.values()], dtype=np.int64)
+        kl = self._kernel_labels(labels)
+        rows_labels = self._kernel_labels(np.concatenate([labels[slots], before_labels]))
+        Q = pair_scores(np.vstack([E[slots], before]), E, self.kernel, rows_labels, kl)
+        new_q, old_q = Q[: slots.size], Q[slots.size :]
+        self._scores[:n] += new_q.sum(axis=0) - old_q.sum(axis=0)
+        self._scores[slots] = new_q.sum(axis=1)
 
     # -- probes and sampling ----------------------------------------------
 
@@ -390,15 +474,14 @@ class ActiveMemory:
         mem_labels = self._kernel_labels(self._labels[: self._count])
         if isinstance(self.kernel, LabelOracle) and probe_labels is None:
             raise ValueError("LabelOracle kernel requires probe labels")
-        Q = pair_scores(
+        sums = self._row_sums(
             probe_embeddings,
             self._emb[: self._count],
-            self.kernel,
             None if probe_labels is None else np.asarray(probe_labels),
             mem_labels,
         )
         with np.errstate(divide="ignore"):
-            distinct = -np.log(Q.mean(axis=1))
+            distinct = -np.log(sums / self._count)
         return float(distinct.mean())
 
     def sample_negatives(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -440,7 +523,12 @@ class ActiveMemory:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore a state_dict, validating it first in O(capacity * dim)."""
+        """Restore a state_dict, validating it first.
+
+        Shapes, counters and unit-norm entries cost O(capacity * dim); the
+        cached scores, which DUEL updates read as they are, are checked
+        against a recompute within 1e-9 in O(count^2 * dim).
+        """
         emb = np.array(state["emb"], dtype=np.float64)
         labels = np.array(state["labels"], dtype=np.int64)
         steps = np.array(state["steps"], dtype=np.int64)
@@ -463,8 +551,17 @@ class ActiveMemory:
             raise ValueError("emb: stored entries contain non-finite values")
         if not np.all(np.abs(np.linalg.norm(emb[:count], axis=1) - 1.0) <= 1e-9):
             raise ValueError("emb: stored entries must be unit-norm within 1e-9")
-        self._emb, self._labels, self._steps, self._scores = emb, labels, steps, scores
-        self._count, self._seen = count, seen
+        kl = self._kernel_labels(labels[:count])
+        exact = self._row_sums(emb[:count], emb[:count], kl, kl)
+        if not np.all(np.abs(scores[:count] - exact) <= 1e-9):
+            raise ValueError("scores: cached row sums differ from a recompute by > 1e-9")
+        self._restore({**state, "emb": emb, "labels": labels, "steps": steps, "scores": scores})
+
+    def _restore(self, state: dict) -> None:
+        """Adopt a state_dict as it is; for snapshots this memory took itself."""
+        self._emb, self._labels = state["emb"], state["labels"]
+        self._steps, self._scores = state["steps"], state["scores"]
+        self._count, self._seen = int(state["count"]), int(state["seen"])
         self.rng.bit_generator.state = state["rng"]
 
 
@@ -536,6 +633,6 @@ def guarded_update(
     events = mem.push_batch(embeddings, labels)
     after = mem.mean_distinctiveness(probe_embeddings, probe_labels)
     if after < before - 1e-12:
-        mem.load_state_dict(saved)
+        mem._restore(saved)
         return events, False
     return events, True

@@ -20,6 +20,7 @@ __all__ = [
     "GaussianPairStream",
     "LongTail",
     "StreamConfig",
+    "class_cdf",
     "class_means",
     "class_probs",
     "load_embedding_stream",
@@ -127,26 +128,45 @@ def sample_class(cfg: StreamConfig, rng: np.random.Generator) -> int:
     return int(rng.choice(cfg.n_classes, p=cfg.probs()))
 
 
+def class_cdf(cfg: StreamConfig) -> np.ndarray:
+    """The profile's CDF, normalised the way Generator.choice normalises it.
+
+    `cdf.searchsorted(rng.random(), side="right")` then draws exactly the
+    class that sample_class would, without rebuilding the profile.
+    """
+    cdf = cfg.probs().cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sample_pair(
     cfg: StreamConfig,
     rng: np.random.Generator,
     means: np.ndarray | None = None,
+    cdf: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """(x, x+, hidden class): x ~ N(mean_c, sigma^2 I), x+ = x + aug noise."""
+    """(x, x+, hidden class): x ~ N(mean_c, sigma^2 I), x+ = x + aug noise.
+
+    The class is drawn exactly as sample_class draws it. Pass means and cdf
+    (from class_means and class_cdf) to avoid rebuilding them per draw.
+    """
     if means is None:
         means = class_means(cfg)
-    c = sample_class(cfg, rng)
+    if cdf is None:
+        cdf = class_cdf(cfg)
+    c = int(cdf.searchsorted(rng.random(), side="right"))
     x = means[c] + cfg.sigma * rng.normal(size=cfg.d_in)
     x_pos = x + cfg.sigma_aug * rng.normal(size=cfg.d_in)
     return x, x_pos, c
 
 
 class GaussianPairStream:
-    """Stateful sampler around sample_pair with cached class means."""
+    """Stateful sampler around sample_pair with cached class means and CDF."""
 
     def __init__(self, cfg: StreamConfig, seed: int | None = None):
         self.cfg = cfg
         self.means = class_means(cfg)
+        self.cdf = class_cdf(cfg)
         self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
     def sample_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,7 +174,7 @@ class GaussianPairStream:
         Xp = np.empty((n, self.cfg.d_in))
         labels = np.empty(n, dtype=np.int64)
         for i in range(n):
-            X[i], Xp[i], labels[i] = sample_pair(self.cfg, self.rng, self.means)
+            X[i], Xp[i], labels[i] = sample_pair(self.cfg, self.rng, self.means, self.cdf)
         return X, Xp, labels
 
     def sample_balanced(

@@ -345,6 +345,7 @@ def test_a06_gradients_match_finite_differences():
     )
 
 
+@pytest.mark.slow
 def test_a07_memory_entropy_beats_fifo(headline_runs):
     h_duel = float(np.mean([r.final.class_entropy for r in headline_runs["duel"]]))
     h_fifo = float(np.mean([r.final.class_entropy for r in headline_runs["fifo"]]))
@@ -358,6 +359,7 @@ def test_a07_memory_entropy_beats_fifo(headline_runs):
     )
 
 
+@pytest.mark.slow
 def test_a08_inter_class_similarity_at_most_fifo(headline_runs):
     s_duel = float(np.mean([r.final.s_inter for r in headline_runs["duel"]]))
     s_fifo = float(np.mean([r.final.s_inter for r in headline_runs["fifo"]]))
@@ -368,6 +370,7 @@ def test_a08_inter_class_similarity_at_most_fifo(headline_runs):
     )
 
 
+@pytest.mark.slow
 def test_a09_probe_accuracy_at_least_fifo(headline_runs):
     p_duel = float(np.mean([r.final.probe_acc for r in headline_runs["duel"]]))
     p_fifo = float(np.mean([r.final.probe_acc for r in headline_runs["fifo"]]))
@@ -378,6 +381,7 @@ def test_a09_probe_accuracy_at_least_fifo(headline_runs):
     )
 
 
+@pytest.mark.slow
 def test_a10_dominant_fraction_flattened_mid_run(headline_runs, half_dominant_runs):
     # rows[0] is the mid-training evaluation; the memory snapshot at that
     # step is taken with the half-trained extractor.
@@ -406,6 +410,7 @@ def test_a11_identical_runs_are_byte_identical(tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_a12_negative_source_ablation(ablation_grid):
     finite = all(
         0.0 <= acc <= 1.0 and math.isfinite(acc)

@@ -208,6 +208,152 @@ class TestScoreCache:
         assert [e.evicted for e in ev_a] == [e.evicted for e in ev_b]
 
 
+def _clustered(rng, n, z, classes=6, repeat_share=0.1):
+    """Unit rows around random class centres, class 0 dominant; a share of
+    rows are exact copies of an earlier row, so exact ties keep arising."""
+    centres = _unit(rng, classes, z)
+    p = np.full(classes, 0.4 / (classes - 1))
+    p[0] = 0.6
+    labels = rng.choice(classes, size=n, p=p)
+    X = normalize(centres[labels] + 0.35 * rng.normal(size=(n, z)))
+    for i in np.flatnonzero(rng.random(n) < repeat_share):
+        if i > 0:
+            src = int(rng.integers(i))
+            X[i], labels[i] = X[src], labels[src]
+    return X, labels
+
+
+def _affine_replay(E0, batches):
+    """DUEL victims from the affine closed form of the row sums over the
+    held set, sum_j q(e_i, e_j) = (n + e_i . sum_j e_j) / 2. The held sum is
+    taken afresh at each push and updated per replacement within it."""
+    held, victims = E0, []
+    for batch in batches:
+        pool = np.vstack([held, batch])
+        sel = np.zeros(pool.shape[0], dtype=bool)
+        sel[: held.shape[0]] = True
+        total = held.sum(axis=0)
+        for i in range(held.shape[0], pool.shape[0]):
+            sums = np.where(sel, (held.shape[0] + pool @ total) / 2.0, -np.inf)
+            j = int(np.flatnonzero(sums >= sums.max() - 1e-9)[0])
+            victims.append(j)
+            sel[j] = False
+            sel[i] = True
+            total += pool[i] - pool[j]
+        held = pool[sel]
+    return victims, held
+
+
+def _drift(mem):
+    return float(np.max(np.abs(mem.scores - mem.recomputed_scores())))
+
+
+class TestLongHorizon:
+    """The score cache is trusted across calls, so check it over many."""
+
+    @pytest.mark.parametrize(
+        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
+    )
+    def test_duel_matches_naive_over_consecutive_pushes(self, kernel):
+        rng = np.random.default_rng(30)
+        emb, labels = _clustered(rng, 48, 6)
+        fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel)
+        slow = ActiveMemory.from_arrays(emb, labels, kernel=kernel, policy="duel_naive")
+        for push in range(60):
+            batch, batch_labels = _clustered(rng, 6, 6)
+            batch[1] = batch[0]
+            batch[3] = fast.embeddings[int(rng.integers(48))]
+            assert fast.push_batch(batch, batch_labels) == slow.push_batch(
+                batch, batch_labels
+            ), f"push {push}"
+            assert np.array_equal(fast.embeddings, slow.embeddings)
+        assert _drift(fast) <= 1e-9
+
+    def test_duel_victims_match_affine_replay_over_10k_pushes(self):
+        k, b, z, pushes = 1024, 8, 8, 10_000
+        rng = np.random.default_rng(31)
+        X, labels = _clustered(rng, k + pushes * b, z)
+        mem = ActiveMemory.from_arrays(X[:k], labels[:k], capacity=k)
+        batches = [X[k + p * b : k + (p + 1) * b] for p in range(pushes)]
+        victims = []
+        for p, batch in enumerate(batches):
+            victims += [e.evicted for e in mem.push_batch(batch)]
+            if p % 1000 == 999:
+                assert _drift(mem) <= 1e-9, f"push {p}"
+        expected, held = _affine_replay(X[:k], batches)
+        assert victims == expected
+        assert np.array_equal(mem.embeddings, held)
+
+    @pytest.mark.parametrize("policy", ["fifo", "random", "reservoir"])
+    def test_baselines_stay_coherent_over_1k_pushes(self, policy):
+        rng = np.random.default_rng(32)
+        emb, labels = _clustered(rng, 64, 6)
+        mem = ActiveMemory.from_arrays(
+            emb, labels, kernel=ExponentialTemp(tau=0.5), policy=policy, seed=4
+        )
+        for p in range(1000):
+            batch, batch_labels = _clustered(rng, 8, 6)
+            mem.push_batch(batch, batch_labels)
+            if p % 100 == 99:
+                assert _drift(mem) <= 1e-9, f"push {p}"
+
+    def test_random_slot_replaced_twice_in_one_call(self):
+        rng = np.random.default_rng(33)
+        mem = _filled(rng, 16, 5, policy="random", seed=5)
+        events = mem.push_batch(_unit(rng, 12, 5))
+        slots = [e.evicted for e in events]
+        # Some slot is hit twice and some slot is never hit, so untouched
+        # rows depend on the update for the slot hit twice.
+        assert len(set(slots)) < len(slots) and len(set(slots)) < 16
+        assert _drift(mem) <= 1e-12
+
+    def test_baseline_scores_under_label_oracle(self):
+        rng = np.random.default_rng(34)
+        for policy in ("fifo", "random", "reservoir"):
+            mem = _filled(rng, 12, 4, kernel=LabelOracle(), policy=policy, seed=6)
+            for _ in range(20):
+                mem.push_batch(_unit(rng, 5, 4), rng.integers(0, 5, size=5))
+            assert np.array_equal(mem.scores, mem.recomputed_scores()), policy
+
+
+class TestDriftGuard:
+    """A DUEL victim whose cached sum is off by more than the guard's
+    constant triggers an exact recompute before the choice stands."""
+
+    def _memories(self):
+        rng = np.random.default_rng(35)
+        emb, labels = _clustered(rng, 32, 6)
+        fast = ActiveMemory.from_arrays(emb, labels)
+        slow = ActiveMemory.from_arrays(emb, labels, policy="duel_naive")
+        return fast, slow, _unit(rng, 4, 6)
+
+    def _perturb(self, mem) -> int:
+        """Offset every cached sum by 1e-8..1e-7 and lift one entry that is
+        not the true victim to the top; returns that entry."""
+        n = mem.size
+        mem._scores[:n] += np.random.default_rng(36).uniform(1e-8, 1e-7, size=n)
+        wrong = (mem.duel_select_naive() + 1) % n
+        mem._scores[wrong] = mem._scores[:n].max() + 1e-3
+        return wrong
+
+    def test_guard_restores_coherence(self):
+        fast, slow, batch = self._memories()
+        self._perturb(fast)
+        assert fast.push_batch(batch) == slow.push_batch(batch)
+        assert np.array_equal(fast.embeddings, slow.embeddings)
+        assert _drift(fast) <= 1e-12
+
+    def test_without_guard_the_fault_decides(self, monkeypatch):
+        monkeypatch.setattr(memory_module, "_DRIFT_TOL", np.inf)
+        fast, _, batch = self._memories()
+        wrong = self._perturb(fast)
+        assert fast.push_batch(batch)[0].evicted == wrong
+        assert _drift(fast) > 1e-9
+
+    def test_guard_constant_sits_far_below_tie_tolerance(self):
+        assert memory_module._DRIFT_TOL <= memory_module._TIE_TOL / 10
+
+
 class TestBaselinePolicies:
     def test_fifo_evicts_oldest(self):
         mem = ActiveMemory.from_arrays(np.eye(3), np.arange(3), policy="fifo")
@@ -388,6 +534,36 @@ class TestPersistence:
         second = [e.evicted for e in mem.push_batch(batch)]
         assert first == second  # rng state restored too
         assert np.array_equal(mem.embeddings, after)
+
+
+class TestLoadedScores:
+    def test_incoherent_scores_rejected(self):
+        rng = np.random.default_rng(37)
+        mem = _filled(rng, 8, 4)
+        state = mem.state_dict()
+        state["scores"][2] += 1e-8
+        with pytest.raises(ValueError, match="scores"):
+            mem.load_state_dict(state)
+
+    def test_coherent_state_loads_bit_exact(self):
+        rng = np.random.default_rng(38)
+        mem = _filled(rng, 8, 4)
+        other = ActiveMemory(8, 4, AffineCosine())
+        other.load_state_dict(mem.state_dict())
+        assert np.array_equal(other.scores, mem.scores)
+
+    def test_guarded_revert_restores_cached_scores(self):
+        eye = np.eye(4)
+        emb = np.vstack([np.tile(eye[0], (9, 1)), eye[1][None, :]])
+        labels = np.array([0] * 9 + [1])
+        mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
+        before = mem.scores
+        probe_lab = np.array([0, 1])
+        _, applied = guarded_update(
+            mem, eye[1][None, :], np.array([1]), eye[probe_lab], probe_lab
+        )
+        assert not applied
+        assert np.array_equal(mem.scores, before)
 
 
 class TestVerifyNegativeControl:

@@ -136,6 +136,26 @@ class TestSampling:
             assert np.array_equal(left, right)
 
 
+class TestCachedCdf:
+    @pytest.mark.parametrize(
+        "imbalance", [Dominant(0.75), LongTail(50.0)], ids=["dominant", "longtail"]
+    )
+    def test_batches_equal_rng_choice_draws(self, imbalance):
+        # The reference draws each class with rng.choice(p=...), as
+        # sample_class does, interleaved with the two noise draws.
+        cfg = StreamConfig(imbalance=imbalance)
+        stream = GaussianPairStream(cfg, seed=7)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            X, Xp, labels = stream.sample_batch(64)
+            for i in range(64):
+                c = int(rng.choice(cfg.n_classes, p=cfg.probs()))
+                x = stream.means[c] + cfg.sigma * rng.normal(size=cfg.d_in)
+                x_pos = x + cfg.sigma_aug * rng.normal(size=cfg.d_in)
+                assert labels[i] == c
+                assert np.array_equal(X[i], x) and np.array_equal(Xp[i], x_pos)
+
+
 class TestOracleStream:
     def test_yields_basis_vectors(self):
         rng = np.random.default_rng(6)

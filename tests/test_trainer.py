@@ -361,6 +361,10 @@ def _scaled_row(arrays, meta):
     arrays["mem.emb"][0] *= 2.0
 
 
+def _wrong_score(arrays, meta):
+    arrays["mem.scores"][3] += 1e-6
+
+
 # name -> (fault, field the error must name). The memory holds 8 of 8.
 CHECKPOINT_FAULTS = {
     "emb_shape": (_truncate("mem.emb"), "emb"),
@@ -372,6 +376,7 @@ CHECKPOINT_FAULTS = {
     "seen_below_count": (_set_memory_meta(seen=7), "seen"),
     "non_finite_entry": (_nan_row, "emb"),
     "non_unit_entry": (_scaled_row, "emb"),
+    "wrong_scores": (_wrong_score, "scores"),
     "param_shape": (_truncate("q.W"), "q.W"),
     "param_missing": (lambda arrays, meta: arrays.pop("k.b"), "k."),
     "param_extra": (
