@@ -54,7 +54,10 @@ class ExponentialTemp:
             raise ValueError("tau must be > 0")
 
     def from_cosine(self, s: np.ndarray) -> np.ndarray:
-        return np.exp((np.asarray(s, dtype=np.float64) - 1.0) / self.tau)
+        q = np.array(s, dtype=np.float64)
+        q -= 1.0
+        q /= self.tau
+        return np.exp(q, out=q)[()]
 
 
 @dataclass(frozen=True)
@@ -62,7 +65,10 @@ class AffineCosine:
     """q = (1 + s) / 2 for cosine s. Maps [-1, 1] onto [0, 1]."""
 
     def from_cosine(self, s: np.ndarray) -> np.ndarray:
-        return (1.0 + np.asarray(s, dtype=np.float64)) / 2.0
+        q = np.array(s, dtype=np.float64)
+        q += 1.0
+        q /= 2.0
+        return q[()]
 
 
 @dataclass(frozen=True)
@@ -121,8 +127,8 @@ def pair_scores(
         lx = np.asarray(labels_x).reshape(-1, 1)
         ly = np.asarray(labels_y).reshape(1, -1)
         return (lx == ly).astype(np.float64)
-    s = np.clip(X @ Y.T, -1.0, 1.0)
-    return kernel.from_cosine(s)
+    s = X @ Y.T
+    return kernel.from_cosine(np.clip(s, -1.0, 1.0, out=s))
 
 
 def self_scores(

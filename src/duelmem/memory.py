@@ -39,8 +39,9 @@ coherent for snapshots and for a later DUEL update: after a call, each
 surviving row gains q(row, new) - q(row, old) summed over the overwritten
 slots, and each overwritten slot gets its new row sum exactly. Only a slot's
 final content counts, so a slot replaced twice in one call needs nothing
-special. Appends below capacity and the naive path recompute the row sums
-from scratch, _ROW_BLOCK rows at a time.
+special. Appends below capacity work the same way: held rows gain their
+sums against the appended rows, which get theirs exactly. Only the naive
+path recomputes the row sums from scratch, _ROW_BLOCK rows at a time.
 
 Eviction-log coordinates: DUEL events report the victim's index in the
 combined pool (entry order at call start, then batch order); the baseline
@@ -290,24 +291,30 @@ class ActiveMemory:
         if isinstance(self.kernel, LabelOracle) and labels is None:
             raise ValueError("LabelOracle kernel requires labeled entries")
 
-        events: list[EvictionEvent] = []
-        start = 0
-        appended = False
-        while self._count < self.capacity and start < X.shape[0]:
-            slot = self._count
-            self._emb[slot] = X[start]
-            self._labels[slot] = lab[start]
-            self._steps[slot] = self._seen
-            events.append(EvictionEvent(None, self._seen))
-            self._count += 1
-            self._seen += 1
-            start += 1
-            appended = True
-        if appended:
-            self._refresh_scores()
-        if start == X.shape[0]:
+        m = min(X.shape[0], self.capacity - self._count)
+        events = [EvictionEvent(None, self._seen + r) for r in range(m)]
+        if m:
+            self._append(X[:m], lab[:m])
+        if m == X.shape[0]:
             return events
-        return events + _PUSH[policy](self, X[start:], lab[start:])
+        return events + _PUSH[policy](self, X[m:], lab[m:])
+
+    def _append(self, X: np.ndarray, lab: np.ndarray) -> None:
+        """Fill free slots with X and give every row its sum over the new
+        contents: held rows gain their sums against X, appended rows get
+        theirs exactly. That is O(m n z) for m rows into n, so filling in
+        small batches costs O(n^2 z) in total rather than O(n^3 z)."""
+        c0, m = self._count, X.shape[0]
+        c1 = c0 + m
+        self._emb[c0:c1] = X
+        self._labels[c0:c1] = lab
+        self._steps[c0:c1] = self._seen + np.arange(m)
+        self._count, self._seen = c1, self._seen + m
+        E = self._emb[:c1]
+        kl = self._kernel_labels(self._labels[:c1])
+        held, new = (None, None) if kl is None else (kl[:c0], kl[c0:])
+        self._scores[:c0] += self._row_sums(E[:c0], E[c0:], held, new)
+        self._scores[c0:c1] = self._row_sums(E[c0:], E, new, kl)
 
     def _combined(self, X: np.ndarray, lab: np.ndarray):
         """The pool and its full (k+b) x (k+b) score matrix, for duel_naive."""
@@ -349,33 +356,43 @@ class ActiveMemory:
             lj = None if kl is None else kl[j : j + 1]
             return pair_scores(pool[j : j + 1], pool, self.kernel, lj, kl)[0]
 
-        selection = np.concatenate([np.ones(k, dtype=bool), np.zeros(b, dtype=bool)])
-        base = np.concatenate([self._scores[:k], np.zeros(b)])
+        # Deselected rows hold -inf in base, so the live scores need no mask:
+        # delta takes whole rows, which is exact on the selected rows, and a
+        # row's delta restarts at 0 when it is selected. sel is the selection
+        # as 1.0 / 0.0, so a masked row sum is one dot product.
+        sel = np.concatenate([np.ones(k), np.zeros(b)])
+        base = np.concatenate([self._scores[:k], np.full(b, -np.inf)])
         delta = np.zeros(k + b)  # this call's changes, folded in at the end
-        events = []
+        live = np.empty(k + b)
+        tied = np.empty(k + b, dtype=bool)
+        victims = []
         for i in range(k, k + b):
-            live = base + delta
-            j = _tied_argmax(live)
-            gone = row(j) * selection
-            # gone.sum() is j's exact row sum, a free probe of the cache.
-            if abs(gone.sum() - live[j]) > _DRIFT_TOL:
-                base = np.zeros(k + b)
-                sel = np.flatnonzero(selection)
-                lsel = None if kl is None else kl[sel]
-                base[sel] = self._row_sums(pool[sel], pool[sel], lsel, lsel)
-                delta[:] = 0.0
+            np.add(base, delta, out=live)
+            # _tied_argmax without its allocations.
+            limit = np.maximum.reduce(live) - _TIE_TOL
+            j = int(np.greater_equal(live, limit, out=tied).argmax())
+            r = row(j)
+            # r @ sel is j's exact row sum, a free probe of the cache.
+            if abs(r @ sel - live[j]) > _DRIFT_TOL:
+                held = np.flatnonzero(sel)
+                lh = None if kl is None else kl[held]
+                base.fill(-np.inf)
+                base[held] = self._row_sums(pool[held], pool[held], lh, lh)
+                delta.fill(0.0)
                 j = _tied_argmax(base)
-                gone = row(j) * selection
-            delta -= gone
-            selection[j] = False
-            base[j] = delta[j] = 0.0
-            t = cross[i - k] * selection
+                r = row(j)
+            delta -= r
+            sel[j] = 0.0
+            base[j] = -np.inf
+            t = cross[i - k]
             delta += t
-            selection[i] = True
-            base[i] = t.sum() + MAX_SCORE
-            events.append(EvictionEvent(j, int(ids[i])))
+            base[i] = t @ sel + MAX_SCORE
+            delta[i] = 0.0
+            sel[i] = 1.0
+            victims.append(j)
+        self._compact(sel, pool, labels, ids, live_scores=base + delta)
+        events = [EvictionEvent(j, self._seen + r) for r, j in enumerate(victims)]
         self._seen += b
-        self._compact(selection, pool, labels, ids, live_scores=base + delta)
         return events
 
     def _push_duel_naive(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
@@ -395,64 +412,70 @@ class ActiveMemory:
         return events
 
     def _push_fifo(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
-        events, old = [], {}
-        for r in range(X.shape[0]):
-            victim = int(np.argmin(self._steps[: self._count]))
-            self._replace(victim, X[r], lab[r], old)
-            events.append(EvictionEvent(victim, self._seen - 1))
-        self._rescore_replaced(old)
-        return events
+        # Each replacement takes the oldest slot and makes it the newest, so
+        # the victims cycle through the slots from oldest to newest. Insert
+        # ids lie below _seen, and a stable sort breaks ties by lowest index
+        # as argmin does.
+        n, b = self._count, X.shape[0]
+        victims = np.argsort(self._steps[:n], kind="stable")[np.arange(b) % n]
+        return self._overwrite(victims, np.arange(b), X, lab)
 
     def _push_random(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
-        events, old = [], {}
-        for r in range(X.shape[0]):
-            victim = int(self.rng.integers(self._count))
-            self._replace(victim, X[r], lab[r], old)
-            events.append(EvictionEvent(victim, self._seen - 1))
-        self._rescore_replaced(old)
-        return events
+        # One rng call per item: a batched draw would consume another stream.
+        b = X.shape[0]
+        victims = np.array([self.rng.integers(self._count) for _ in range(b)])
+        return self._overwrite(victims, np.arange(b), X, lab)
 
     def _push_reservoir(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
         """Keep each offered item with probability capacity / seen_count."""
-        events, old = [], {}
+        victims, kept = [], []
         for r in range(X.shape[0]):
-            if self.rng.random() < self.capacity / (self._seen + 1):
-                victim = int(self.rng.integers(self._count))
-                self._replace(victim, X[r], lab[r], old)
-                events.append(EvictionEvent(victim, self._seen - 1))
-            else:
-                self._seen += 1
-        self._rescore_replaced(old)
-        return events
+            if self.rng.random() < self.capacity / (self._seen + r + 1):
+                victims.append(self.rng.integers(self._count))
+                kept.append(r)
+        return self._overwrite(
+            np.array(victims, dtype=np.int64), np.array(kept, dtype=np.int64), X, lab
+        )
 
-    def _replace(self, victim: int, emb: np.ndarray, label: int, old: dict) -> None:
-        """Overwrite a slot, recording its content at call start in old."""
-        if victim not in old:
-            old[victim] = (self._emb[victim].copy(), int(self._labels[victim]))
-        self._emb[victim] = emb
-        self._labels[victim] = label
-        self._steps[victim] = self._seen
-        self._seen += 1
+    def _overwrite(
+        self, victims: np.ndarray, rows: np.ndarray, X: np.ndarray, lab: np.ndarray
+    ) -> list[EvictionEvent]:
+        """Write X[rows[r]] into slot victims[r] for each r in order, give
+        every offered row of X an insert id, and bring the cached row sums up
+        to date.
 
-    def _rescore_replaced(self, old: dict) -> None:
-        """Bring the cached row sums up to date after in-place replacements.
-
-        old maps each overwritten slot to its (embedding, label) at call
-        start; the slots now hold their final content.
+        A slot hit more than once ends with its last write, and only its
+        content at call start and at call end enter the scores: each row
+        gains q(row, new) - q(row, old) summed over the overwritten slots,
+        and each overwritten slot gets its new row sum exactly.
         """
-        if not old:
-            return
+        seen = self._seen
+        self._seen += X.shape[0]
+        events = [
+            EvictionEvent(v, seen + r) for v, r in zip(victims.tolist(), rows.tolist())
+        ]
+        if victims.size == 0:
+            return events
+        slots, first = np.unique(victims, return_index=True)
+        _, from_end = np.unique(victims[::-1], return_index=True)
+        last = rows[victims.size - 1 - from_end]
+        # First-hit order fixes the order in which the rescoring below sums.
+        order = np.argsort(first)
+        slots, last = slots[order], last[order]
+        before, before_labels = self._emb[slots], self._labels[slots]
+        self._emb[slots] = X[last]
+        self._labels[slots] = lab[last]
+        self._steps[slots] = seen + last
+
         n = self._count
-        slots = np.fromiter(old, dtype=np.int64, count=len(old))
         E, labels = self._emb[:n], self._labels[:n]
-        before = np.array([e for e, _ in old.values()])
-        before_labels = np.array([label for _, label in old.values()], dtype=np.int64)
         kl = self._kernel_labels(labels)
         rows_labels = self._kernel_labels(np.concatenate([labels[slots], before_labels]))
         Q = pair_scores(np.vstack([E[slots], before]), E, self.kernel, rows_labels, kl)
         new_q, old_q = Q[: slots.size], Q[slots.size :]
         self._scores[:n] += new_q.sum(axis=0) - old_q.sum(axis=0)
         self._scores[slots] = new_q.sum(axis=1)
+        return events
 
     # -- probes and sampling ----------------------------------------------
 
@@ -525,9 +548,9 @@ class ActiveMemory:
     def load_state_dict(self, state: dict) -> None:
         """Restore a state_dict, validating it first.
 
-        Shapes, counters and unit-norm entries cost O(capacity * dim); the
-        cached scores, which DUEL updates read as they are, are checked
-        against a recompute within 1e-9 in O(count^2 * dim).
+        Shapes, counters, insert ids and unit-norm entries cost
+        O(capacity * dim); the cached scores, which DUEL updates read as they
+        are, are checked against a recompute within 1e-9 in O(count^2 * dim).
         """
         emb = np.array(state["emb"], dtype=np.float64)
         labels = np.array(state["labels"], dtype=np.int64)
@@ -547,6 +570,10 @@ class ActiveMemory:
             raise ValueError(f"count: {count} outside [0, {self.capacity}]")
         if seen < count:
             raise ValueError(f"seen: {seen} is below count {count}")
+        # Insert ids are handed out from seen, so every stored one lies below
+        # it; fifo's batched victim order relies on that.
+        if not np.all((steps[:count] >= 0) & (steps[:count] < seen)):
+            raise ValueError(f"steps: stored insert ids must lie in [0, {seen})")
         if not np.all(np.isfinite(emb[:count])):
             raise ValueError("emb: stored entries contain non-finite values")
         if not np.all(np.abs(np.linalg.norm(emb[:count], axis=1) - 1.0) <= 1e-9):

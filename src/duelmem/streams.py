@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,32 +162,40 @@ def sample_pair(
 
 
 class GaussianPairStream:
-    """Stateful sampler around sample_pair with cached class means and CDF."""
+    """Stateful sampler with cached class means and CDF.
+
+    sample_batch consumes the generator exactly as repeated sample_pair calls
+    would, so its batches equal theirs byte for byte.
+    """
 
     def __init__(self, cfg: StreamConfig, seed: int | None = None):
         self.cfg = cfg
         self.means = class_means(cfg)
         self.cdf = class_cdf(cfg)
+        self._cdf = self.cdf.tolist()  # bisect on a list beats searchsorted per draw
         self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
 
     def sample_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        X = np.empty((n, self.cfg.d_in))
-        Xp = np.empty((n, self.cfg.d_in))
+        d = self.cfg.d_in
+        # Per sample: one uniform for the class, then x's and x+'s noise in
+        # one normal draw of 2d, as sample_pair draws them.
+        noise = np.empty((n, 2 * d))
         labels = np.empty(n, dtype=np.int64)
+        cdf, uniform, normal = self._cdf, self.rng.random, self.rng.normal
         for i in range(n):
-            X[i], Xp[i], labels[i] = sample_pair(self.cfg, self.rng, self.means, self.cdf)
+            labels[i] = bisect_right(cdf, uniform())
+            noise[i] = normal(size=2 * d)
+        X = self.means[labels] + self.cfg.sigma * noise[:, :d]
+        Xp = X + self.cfg.sigma_aug * noise[:, d:]
         return X, Xp, labels
 
     def sample_balanced(
         self, per_class: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Evaluation set: per_class draws of x for every class."""
-        n = per_class * self.cfg.n_classes
-        X = np.empty((n, self.cfg.d_in))
         labels = np.repeat(np.arange(self.cfg.n_classes), per_class)
-        for i, c in enumerate(labels):
-            X[i] = self.means[c] + self.cfg.sigma * rng.normal(size=self.cfg.d_in)
-        return X, labels
+        noise = rng.normal(size=(labels.size, self.cfg.d_in))
+        return self.means[labels] + self.cfg.sigma * noise, labels
 
 
 def oracle_embedding_stream(

@@ -82,6 +82,15 @@ class TestKernelForms:
         with pytest.raises(ValueError):
             ExponentialTemp(tau=-1.0)
 
+    @pytest.mark.parametrize(
+        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
+    )
+    def test_from_cosine_leaves_its_input_alone(self, kernel):
+        s = np.linspace(-1.0, 1.0, 9)
+        q = kernel.from_cosine(s)
+        assert np.array_equal(s, np.linspace(-1.0, 1.0, 9))
+        assert np.array_equal(q, [kernel.from_cosine(float(v)) for v in s])
+
     def test_label_oracle_matches_labels_only(self):
         k = LabelOracle()
         a, b = np.eye(2)

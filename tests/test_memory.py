@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import duelmem.memory as memory_module
-from duelmem.kernels import AffineCosine, ExponentialTemp, LabelOracle, normalize
+from duelmem.kernels import (
+    AffineCosine,
+    ExponentialTemp,
+    LabelOracle,
+    normalize,
+    pair_scores,
+)
 from duelmem.memory import (
     ActiveMemory,
     EvictionEvent,
@@ -101,6 +107,41 @@ class TestFillPhase:
         assert mem.is_full
 
 
+class TestIncrementalFill:
+    """Appends below capacity extend the cached sums rather than recompute
+    them: filling to n entries computes n^2 scores whatever the batch size,
+    where a recompute per call costs the sum of the squared sizes."""
+
+    @pytest.mark.parametrize("batch", [7, 64])
+    @pytest.mark.parametrize(
+        "kernel",
+        [AffineCosine(), ExponentialTemp(tau=0.5), LabelOracle()],
+        ids=["affine", "exp", "oracle"],
+    )
+    def test_fill_keeps_scores_coherent(self, kernel, batch, monkeypatch):
+        entries = []
+
+        def counted(*args):
+            q = pair_scores(*args)
+            entries.append(q.size)
+            return q
+
+        monkeypatch.setattr(memory_module, "pair_scores", counted)
+        n = 300
+        rng = np.random.default_rng(44)
+        X, labels = _unit(rng, n, 6), rng.integers(0, 4, size=n)
+        mem = ActiveMemory(n, 6, kernel)
+        for start in range(0, n, batch):
+            events = mem.push_batch(X[start : start + batch], labels[start : start + batch])
+            assert [e.inserted for e in events] == list(range(start, min(start + batch, n)))
+            assert all(e.evicted is None for e in events)
+            assert _drift(mem) <= 1e-9
+        assert np.array_equal(mem.embeddings, X)
+        # _drift recomputes n'^2 entries after each push; leave those out.
+        sizes = [min(start + batch, n) for start in range(0, n, batch)]
+        assert sum(entries) - sum(c * c for c in sizes) == n * n
+
+
 class TestValidation:
     def test_dimension_mismatch(self):
         mem = ActiveMemory(4, 3, AffineCosine())
@@ -150,6 +191,26 @@ class TestIncrementalNaiveEquivalence:
                 e.evicted for e in slow_labels
             ]
             assert np.array_equal(fast.embeddings, slow.embeddings)
+
+    @pytest.mark.parametrize(
+        "kernel", [ExponentialTemp(tau=0.5), LabelOracle()], ids=["exp", "oracle"]
+    )
+    def test_batch_larger_than_memory_matches_naive(self, kernel):
+        # Rows of the batch that are evicted again, or not yet inserted, sit
+        # at -inf in the live scores; the label oracle adds exact ties.
+        rng = np.random.default_rng(43)
+        for trial in range(20):
+            emb, labels = _unit(rng, 5, 4), rng.integers(0, 3, size=5)
+            batch, batch_labels = _unit(rng, 12, 4), rng.integers(0, 3, size=12)
+            batch[3] = batch[0]
+            batch[7] = emb[2]
+            fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel)
+            slow = ActiveMemory.from_arrays(emb, labels, kernel=kernel, policy="duel_naive")
+            assert fast.push_batch(batch, batch_labels) == slow.push_batch(
+                batch, batch_labels
+            ), f"trial {trial}"
+            assert np.array_equal(fast.embeddings, slow.embeddings)
+            assert _drift(fast) <= 1e-12
 
     def test_single_element_batch_equals_select_and_replace(self):
         rng = np.random.default_rng(3)
@@ -370,6 +431,39 @@ class TestBaselinePolicies:
             victims.append(events[0].evicted)
         assert sorted(victims) == [0, 1, 2]
 
+    @staticmethod
+    def _fifo_reference(steps, seen, b):
+        """Victims and final insert ids from a per-item argmin."""
+        steps, victims = steps.copy(), []
+        for r in range(b):
+            victim = int(np.argmin(steps))
+            victims.append(victim)
+            steps[victim] = seen + r
+        return victims, steps
+
+    @pytest.mark.parametrize("b", [20, 64, 150], ids=["b<k", "b=k", "b>k"])
+    @pytest.mark.parametrize("permuted", [False, True], ids=["filled", "loaded"])
+    def test_fifo_victims_match_per_item_argmin(self, b, permuted):
+        k = 64
+        rng = np.random.default_rng(45)
+        mem = _filled(rng, k, 5, policy="fifo")
+        mem.push_batch(_unit(rng, 9, 5))
+        if permuted:
+            # Loaded state may hold the ids in any order, and with ties.
+            state = mem.state_dict()
+            state["steps"] = rng.permutation(state["steps"])
+            state["steps"][rng.integers(k, size=20)] = state["steps"][rng.integers(k, size=20)]
+            mem.load_state_dict(state)
+        seen = mem.state_dict()["seen"]
+        victims, steps = self._fifo_reference(mem.insert_steps, seen, b)
+        batch = _unit(rng, b, 5)
+        events = mem.push_batch(batch, np.arange(b))
+        assert events == [EvictionEvent(v, seen + r) for r, v in enumerate(victims)]
+        assert np.array_equal(mem.insert_steps, steps)
+        assert np.array_equal(mem.embeddings[victims[-k:]], batch[-k:])
+        assert np.array_equal(mem.labels[victims[-k:]], np.arange(b)[-k:])
+        assert _drift(mem) <= 1e-12
+
     def test_random_policy_is_seed_deterministic(self):
         rng = np.random.default_rng(9)
         emb, batch = _unit(rng, 6, 4), _unit(rng, 5, 4)
@@ -543,6 +637,15 @@ class TestLoadedScores:
         state = mem.state_dict()
         state["scores"][2] += 1e-8
         with pytest.raises(ValueError, match="scores"):
+            mem.load_state_dict(state)
+
+    @pytest.mark.parametrize("bad", [-1, 20], ids=["negative", "not-below-seen"])
+    def test_insert_ids_outside_seen_rejected(self, bad):
+        mem = _filled(np.random.default_rng(39), 8, 4)
+        state = mem.state_dict()
+        state["seen"] = 20
+        state["steps"][5] = bad
+        with pytest.raises(ValueError, match="steps"):
             mem.load_state_dict(state)
 
     def test_coherent_state_loads_bit_exact(self):

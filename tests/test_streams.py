@@ -156,6 +156,39 @@ class TestCachedCdf:
                 assert np.array_equal(X[i], x) and np.array_equal(Xp[i], x_pos)
 
 
+class TestBatchedDraws:
+    """The batched samplers consume the generator exactly as the per-sample
+    draws do, so their output equals a per-sample reference byte for byte."""
+
+    @pytest.mark.parametrize(
+        "imbalance, sigma_aug",
+        [(Dominant(0.75), 0.35), (LongTail(50.0), 0.35), (Dominant(0.75), 0.0)],
+        ids=["dominant", "longtail", "no-aug"],
+    )
+    def test_sample_batch_equals_sample_pair(self, imbalance, sigma_aug):
+        cfg = StreamConfig(imbalance=imbalance, sigma_aug=sigma_aug)
+        stream = GaussianPairStream(cfg, seed=11)
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            X, Xp, labels = stream.sample_batch(64)
+            for i in range(64):
+                x, x_pos, c = sample_pair(cfg, rng, stream.means, stream.cdf)
+                assert labels[i] == c
+                assert X[i].tobytes() == x.tobytes()
+                assert Xp[i].tobytes() == x_pos.tobytes()
+        assert stream.rng.bit_generator.state == rng.bit_generator.state
+
+    def test_sample_balanced_equals_per_row_draws(self):
+        cfg = StreamConfig(n_classes=4, d_in=7, sigma=0.6)
+        stream = GaussianPairStream(cfg, seed=12)
+        X, labels = stream.sample_balanced(9, np.random.default_rng(13))
+        rng = np.random.default_rng(13)
+        assert np.array_equal(labels, np.repeat(np.arange(4), 9))
+        for i, c in enumerate(labels):
+            x = stream.means[c] + cfg.sigma * rng.normal(size=cfg.d_in)
+            assert X[i].tobytes() == x.tobytes()
+
+
 class TestOracleStream:
     def test_yields_basis_vectors(self):
         rng = np.random.default_rng(6)
