@@ -13,14 +13,25 @@ follows a selection-mask scheme over the pool [memory; batch]:
   * rows start selected for memory entries and deselected for the batch;
     live scores start from the cached row sums, and the batch's own rows
     come from one b x (k+b) cross block q(batch, pool);
-  * per batch element: pick the selected row with the largest live score
-    (lowest index on ties, grouped at _TIE_TOL), subtract its masked row from
-    the live scores and zero it, then add the incoming row's masked scores,
-    mark it selected, and credit it its own masked row sum plus MAX_SCORE for
-    the self pair. A victim's row is a row of the cross block when it came
-    in with this batch; a memory entry's row is computed on its own.
+  * per batch element: unless the element before it settled (below), pick
+    the selected row with the largest live score (lowest index on ties,
+    grouped at _TIE_TOL), subtract its masked row from the live scores and
+    zero it. A victim's row is a row of the cross block when it came in with
+    this batch; a memory entry's row is computed on its own;
+  * then offer the incoming row: add its masked scores to the other rows in
+    a spare buffer, and credit it its own masked row sum plus MAX_SCORE for
+    the self pair. It has the highest pool index among the selected rows, so
+    it loses every tie: the next replacement evicts it exactly when its
+    score beats every other live score by more than _TIE_TOL;
+  * settle test: when that holds, the row is not the batch's last, and its
+    self score is MAX_SCORE within 1e-12 (so the drift probe of its eviction
+    would pass), the row is logged as the next element's victim and the
+    state is left as it was, since inserting and evicting it returns that
+    state. Otherwise the row is kept: the spare buffer becomes the live
+    scores, the row is marked selected, and the next victim is picked.
 
-That costs O(b (k+b) z) per call instead of O((k+b)^2 z). Elements inserted
+That costs O(b (k+b) z) per call instead of O((k+b)^2 z), and the Python
+loop does its victim bookkeeping per kept row only. Elements inserted
 earlier in the same call are eviction candidates for later elements.
 `duel_naive` replays the same candidate pool but recomputes every score from
 the full pool matrix per replacement; both paths must produce identical
@@ -32,7 +43,7 @@ takes one rounding at its own magnitude per call rather than two per
 replacement. The victim's row is computed exactly anyway, so its masked sum
 probes the cache for free: when it differs from the cached value by more
 than _DRIFT_TOL, the live scores are recomputed exactly before the choice is
-made.
+made. Settled rows never touch the zero-based array, so they add no rounding.
 
 The baseline policies (fifo, random, reservoir) read no scores but keep them
 coherent for snapshots and for a later DUEL update: after a call, each
@@ -43,10 +54,12 @@ special. Appends below capacity work the same way: held rows gain their
 sums against the appended rows, which get theirs exactly. Only the naive
 path recomputes the row sums from scratch, _ROW_BLOCK rows at a time.
 
-Eviction-log coordinates: DUEL events report the victim's index in the
-combined pool (entry order at call start, then batch order); the baseline
-policies (fifo, random, reservoir) replace slots in place and report the
-slot index. Appends below capacity report None.
+Eviction-log coordinates: a push returns one PushResult, whose victims
+array holds, per accepted item, the displaced entry's index. DUEL reports
+the victim's index in the combined pool (entry order at call start, then
+batch order); the baseline policies (fifo, random, reservoir) replace slots
+in place and report the slot index. Appends below capacity report -1, which
+reads as None on the EvictionEvent view.
 """
 
 from __future__ import annotations
@@ -65,6 +78,7 @@ __all__ = [
     "ActiveMemory",
     "EvictionEvent",
     "MemoryEntry",
+    "PushResult",
     "duel_update_incremental",
     "duel_update_naive",
     "fifo_update",
@@ -116,6 +130,45 @@ class EvictionEvent:
     inserted: int
 
 
+class PushResult:
+    """The accepted items of one push, in offer order, as two int arrays:
+    `victims` holds the index each item displaced (-1 for a plain append)
+    and `inserted` its insert id.
+
+    It reads as a sequence of EvictionEvent, built only when indexed or
+    iterated, and compares equal to a list of them.
+    """
+
+    __slots__ = ("victims", "inserted")
+
+    def __init__(self, victims: np.ndarray, inserted: np.ndarray):
+        self.victims = np.asarray(victims, dtype=np.int64)
+        self.inserted = np.asarray(inserted, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.victims.size
+
+    def __getitem__(self, index: int) -> EvictionEvent:
+        v = int(self.victims[index])
+        return EvictionEvent(None if v < 0 else v, int(self.inserted[index]))
+
+    def __iter__(self):
+        for v, r in zip(self.victims.tolist(), self.inserted.tolist()):
+            yield EvictionEvent(None if v < 0 else v, r)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, PushResult):
+            return np.array_equal(self.victims, other.victims) and np.array_equal(
+                self.inserted, other.inserted
+            )
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"PushResult(victims={self.victims.tolist()}, inserted={self.inserted.tolist()})"
+
+
 class ActiveMemory:
     """Fixed-capacity store of unit embeddings under an eviction policy.
 
@@ -162,7 +215,8 @@ class ActiveMemory:
         """Build a memory pre-filled with the given entries."""
         embeddings = np.asarray(embeddings, dtype=np.float64)
         n = embeddings.shape[0]
-        mem = cls(capacity or n, embeddings.shape[1], kernel, policy, seed)
+        capacity = n if capacity is None else capacity
+        mem = cls(capacity, embeddings.shape[1], kernel, policy, seed)
         mem.push_batch(embeddings, labels)
         return mem
 
@@ -262,16 +316,16 @@ class ActiveMemory:
 
     def push_batch(
         self, embeddings: np.ndarray, labels: np.ndarray | None = None
-    ) -> list[EvictionEvent]:
+    ) -> PushResult:
         """Offer a batch of embeddings to the memory under its policy.
 
-        Returns one EvictionEvent per accepted item, in offer order.
+        Returns the accepted items, in offer order, as one PushResult.
         """
         return self._push(self.policy, embeddings, labels)
 
     def _push(
         self, policy: str, embeddings: np.ndarray, labels: np.ndarray | None
-    ) -> list[EvictionEvent]:
+    ) -> PushResult:
         X = np.asarray(embeddings, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -292,12 +346,18 @@ class ActiveMemory:
             raise ValueError("LabelOracle kernel requires labeled entries")
 
         m = min(X.shape[0], self.capacity - self._count)
-        events = [EvictionEvent(None, self._seen + r) for r in range(m)]
+        appended = np.arange(self._seen, self._seen + m)
         if m:
             self._append(X[:m], lab[:m])
         if m == X.shape[0]:
-            return events
-        return events + _PUSH[policy](self, X[m:], lab[m:])
+            return PushResult(np.full(m, -1), appended)
+        rest = _PUSH[policy](self, X[m:], lab[m:])
+        if m == 0:
+            return rest
+        return PushResult(
+            np.concatenate([np.full(m, -1), rest.victims]),
+            np.concatenate([appended, rest.inserted]),
+        )
 
     def _append(self, X: np.ndarray, lab: np.ndarray) -> None:
         """Fill free slots with X and give every row its sum over the new
@@ -338,7 +398,7 @@ class ActiveMemory:
         else:
             self._scores[: self._count] = live_scores[keep]
 
-    def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
+    def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         k, b = self._count, X.shape[0]
         pool = np.vstack([self._emb[:k], X])
         labels = np.concatenate([self._labels[:k], lab])
@@ -363,55 +423,70 @@ class ActiveMemory:
         sel = np.concatenate([np.ones(k), np.zeros(b)])
         base = np.concatenate([self._scores[:k], np.full(b, -np.inf)])
         delta = np.zeros(k + b)  # this call's changes, folded in at the end
-        live = np.empty(k + b)
+        spare = np.empty(k + b)  # delta with the offered row added
+        live = base.copy()
+        top = np.maximum.reduce(live)
         tied = np.empty(k + b, dtype=bool)
+        # Rows that may settle: not the batch's last, and self score exact.
+        settles = (np.abs(np.diagonal(cross, offset=k) - MAX_SCORE) <= 1e-12).tolist()
+        settles[-1] = False
         victims = []
+        settled = False
         for i in range(k, k + b):
-            np.add(base, delta, out=live)
-            # _tied_argmax without its allocations.
-            limit = np.maximum.reduce(live) - _TIE_TOL
-            j = int(np.greater_equal(live, limit, out=tied).argmax())
-            r = row(j)
-            # r @ sel is j's exact row sum, a free probe of the cache.
-            if abs(r @ sel - live[j]) > _DRIFT_TOL:
-                held = np.flatnonzero(sel)
-                lh = None if kl is None else kl[held]
-                base.fill(-np.inf)
-                base[held] = self._row_sums(pool[held], pool[held], lh, lh)
-                delta.fill(0.0)
-                j = _tied_argmax(base)
+            if not settled:
+                # _tied_argmax without its allocations.
+                j = int(np.greater_equal(live, top - _TIE_TOL, out=tied).argmax())
                 r = row(j)
-            delta -= r
-            sel[j] = 0.0
-            base[j] = -np.inf
+                # r @ sel is j's exact row sum, a free probe of the cache.
+                if abs(r @ sel - live[j]) > _DRIFT_TOL:
+                    held = np.flatnonzero(sel)
+                    lh = None if kl is None else kl[held]
+                    base.fill(-np.inf)
+                    base[held] = self._row_sums(pool[held], pool[held], lh, lh)
+                    delta.fill(0.0)
+                    j = _tied_argmax(base)
+                    r = row(j)
+                delta -= r
+                sel[j] = 0.0
+                base[j] = -np.inf
+                victims.append(j)
             t = cross[i - k]
-            delta += t
-            base[i] = t @ sel + MAX_SCORE
+            np.add(delta, t, out=spare)
+            # Row i is still at -inf in base, so top is over the other rows.
+            np.add(base, spare, out=live)
+            top = np.maximum.reduce(live)
+            own = t @ sel + MAX_SCORE
+            settled = settles[i - k] and top < own - _TIE_TOL
+            if settled:
+                victims.append(i)
+                continue
+            delta, spare = spare, delta
+            base[i] = own
             delta[i] = 0.0
+            live[i] = own
             sel[i] = 1.0
-            victims.append(j)
+            top = max(top, own)
         self._compact(sel, pool, labels, ids, live_scores=base + delta)
-        events = [EvictionEvent(j, self._seen + r) for r, j in enumerate(victims)]
         self._seen += b
-        return events
+        return PushResult(victims, ids[k:])
 
-    def _push_duel_naive(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
+    def _push_duel_naive(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         """Reference DUEL path: full score recomputation per replacement."""
         k, b, emb, labels, ids, S = self._combined(X, lab)
         selection = np.concatenate([np.ones(k, dtype=bool), np.zeros(b, dtype=bool)])
-        events = []
+        victims = []
         for i in range(k, k + b):
             sel = np.flatnonzero(selection)
             sums = S[np.ix_(sel, sel)].sum(axis=1)
             j = int(sel[_tied_argmax(sums)])
             selection[j] = False
             selection[i] = True
-            events.append(EvictionEvent(j, int(ids[i])))
+            victims.append(j)
         self._seen += b
         self._compact(selection, emb, labels, ids)
-        return events
+        return PushResult(victims, ids[k:])
 
-    def _push_fifo(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
+    def _push_fifo(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         # Each replacement takes the oldest slot and makes it the newest, so
         # the victims cycle through the slots from oldest to newest. Insert
         # ids lie below _seen, and a stable sort breaks ties by lowest index
@@ -420,13 +495,13 @@ class ActiveMemory:
         victims = np.argsort(self._steps[:n], kind="stable")[np.arange(b) % n]
         return self._overwrite(victims, np.arange(b), X, lab)
 
-    def _push_random(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
+    def _push_random(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         # One rng call per item: a batched draw would consume another stream.
         b = X.shape[0]
         victims = np.array([self.rng.integers(self._count) for _ in range(b)])
         return self._overwrite(victims, np.arange(b), X, lab)
 
-    def _push_reservoir(self, X: np.ndarray, lab: np.ndarray) -> list[EvictionEvent]:
+    def _push_reservoir(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         """Keep each offered item with probability capacity / seen_count."""
         victims, kept = [], []
         for r in range(X.shape[0]):
@@ -439,7 +514,7 @@ class ActiveMemory:
 
     def _overwrite(
         self, victims: np.ndarray, rows: np.ndarray, X: np.ndarray, lab: np.ndarray
-    ) -> list[EvictionEvent]:
+    ) -> PushResult:
         """Write X[rows[r]] into slot victims[r] for each r in order, give
         every offered row of X an insert id, and bring the cached row sums up
         to date.
@@ -451,9 +526,7 @@ class ActiveMemory:
         """
         seen = self._seen
         self._seen += X.shape[0]
-        events = [
-            EvictionEvent(v, seen + r) for v, r in zip(victims.tolist(), rows.tolist())
-        ]
+        events = PushResult(victims, seen + rows)
         if victims.size == 0:
             return events
         slots, first = np.unique(victims, return_index=True)
@@ -605,35 +678,35 @@ _PUSH = {
 
 def duel_update_incremental(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> list[EvictionEvent]:
+) -> PushResult:
     """One batched DUEL update via the incremental masked-score path."""
     return mem._push("duel", embeddings, labels)
 
 
 def duel_update_naive(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> list[EvictionEvent]:
+) -> PushResult:
     """One batched DUEL update via the full-recompute reference path."""
     return mem._push("duel_naive", embeddings, labels)
 
 
 def fifo_update(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> list[EvictionEvent]:
+) -> PushResult:
     """Replace the oldest entries with the batch."""
     return mem._push("fifo", embeddings, labels)
 
 
 def random_update(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> list[EvictionEvent]:
+) -> PushResult:
     """Replace uniformly random entries with the batch (memory's own rng)."""
     return mem._push("random", embeddings, labels)
 
 
 def reservoir_update(
     mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> list[EvictionEvent]:
+) -> PushResult:
     """Reservoir-sample the batch: keep each item w.p. capacity/seen."""
     return mem._push("reservoir", embeddings, labels)
 
@@ -644,7 +717,7 @@ def guarded_update(
     labels: np.ndarray | None,
     probe_embeddings: np.ndarray,
     probe_labels: np.ndarray | None = None,
-) -> tuple[list[EvictionEvent], bool]:
+) -> tuple[PushResult, bool]:
     """Apply push_batch, reverting it if probe distinctiveness drops.
 
     The probe stands in for the current data distribution. The update is

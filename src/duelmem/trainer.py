@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .kernels import kernel_from_dict, kernel_to_dict, normalize
-from .memory import ActiveMemory, EvictionEvent, guarded_update
+from .memory import ActiveMemory, PushResult, guarded_update
 
 __all__ = [
     "FeatureExtractor",
@@ -271,7 +271,7 @@ class StepReport:
     step: int
     loss: float
     lr: float
-    events: list[EvictionEvent] = field(default_factory=list)
+    events: PushResult
     memory_update_applied: bool = True
 
 

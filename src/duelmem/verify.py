@@ -226,7 +226,30 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
                 return False, f"contents diverge at trial {t}"
             if np.max(np.abs(fast.scores - fast.recomputed_scores())) > 1e-9:
                 return False, "incremental score cache drifted beyond 1e-9"
-    return True, f"{2 * trials} batched updates, both kernels"
+    # A dominant-class cluster stream. Once DUEL has thinned the dominant
+    # cluster, the next replacement evicts most offered rows on arrival, and
+    # the incremental path settles them; 20 warm-up pushes get it there.
+    k, b, z, warm = 128, 32, 16, 20
+    n = k + (warm + 1) * b
+    centres = _random_unit(rng, 6, z)
+    labels = rng.choice(6, size=n, p=Dominant(0.75).probs(6))
+    X = normalize(centres[labels] + 0.35 * rng.normal(size=(n, z)))
+    warmed = ActiveMemory.from_arrays(X[:k], labels[:k], policy="duel")
+    for p in range(warm):
+        rows = slice(k + p * b, k + (p + 1) * b)
+        warmed.push_batch(X[rows], labels[rows])
+    E, held = warmed.embeddings, warmed.labels
+    fast = ActiveMemory.from_arrays(E, held, policy="duel")
+    slow = ActiveMemory.from_arrays(E, held, policy="duel_naive")
+    ev_fast = fast.push_batch(X[-b:], labels[-b:])
+    if ev_fast != slow.push_batch(X[-b:], labels[-b:]):
+        return False, "eviction logs diverge on the dominant-cluster trial"
+    if not np.array_equal(fast.embeddings, slow.embeddings):
+        return False, "contents diverge on the dominant-cluster trial"
+    settled = int(np.count_nonzero(ev_fast.victims[1:] == k + np.arange(b - 1)))
+    if settled < b // 2:
+        return False, f"dominant-cluster trial evicted only {settled} of {b} rows on arrival"
+    return True, f"{2 * trials + 1} batched updates, both kernels, {settled}/{b} settled"
 
 
 def check_cache_coherence(quick: bool) -> tuple[bool, str]:

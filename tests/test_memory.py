@@ -97,6 +97,9 @@ class TestFillPhase:
         # Third item replaces one of the duplicated e1 rows.
         assert events[2].evicted in (0, 1)
         assert mem.size == 2
+        # The same push as arrays: -1 marks an append.
+        assert events.victims.tolist() == [-1, -1, events[2].evicted]
+        assert events.inserted.tolist() == [0, 1, 2]
 
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(0)
@@ -166,6 +169,10 @@ class TestValidation:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             ActiveMemory(4, 3, AffineCosine(), policy="lru")
+
+    def test_from_arrays_rejects_zero_capacity(self):
+        with pytest.raises(ValueError, match="capacity must be >= 1"):
+            ActiveMemory.from_arrays(np.eye(3), capacity=0)
 
 
 class TestIncrementalNaiveEquivalence:
@@ -375,6 +382,134 @@ class TestLongHorizon:
             for _ in range(20):
                 mem.push_batch(_unit(rng, 5, 4), rng.integers(0, 5, size=5))
             assert np.array_equal(mem.scores, mem.recomputed_scores()), policy
+
+
+def _hub(z=6, theta=np.pi / 6):
+    """A hub c = e_0 and a memory of 2(z-1) members at angle theta from it,
+    cos(theta) c +- sin(theta) e_i. The hub is more duplicated by the
+    members than any member is, so a copy of it offered to that memory is
+    evicted on arrival. Returns the memory rows, the hub, and z-1 rows far
+    from all of them, which are never evicted on arrival."""
+    eye = np.eye(z)
+    members = [
+        np.cos(theta) * eye[0] + s * np.sin(theta) * eye[i]
+        for i in range(1, z)
+        for s in (1, -1)
+    ]
+    far = normalize(-eye[0] + eye[1:])
+    return np.array(members), eye[0], far
+
+
+def _settled(events, k):
+    """Batch positions of rows the next replacement evicted, from a push into
+    a full memory of k: the victim of row r is the pool index of row r - 1."""
+    v = events.victims
+    return [r - 1 for r in range(1, v.size) if v[r] == k + r - 1]
+
+
+def _push_matches_naive(emb, batch, kernel=None):
+    """Push batch into two memories built from emb, incremental and naive;
+    assert equal logs and contents and return the incremental memory and log."""
+    kernel = kernel or AffineCosine()
+    fast = ActiveMemory.from_arrays(emb, kernel=kernel)
+    slow = ActiveMemory.from_arrays(emb, kernel=kernel, policy="duel_naive")
+    events = fast.push_batch(batch)
+    assert events == slow.push_batch(batch)
+    assert np.array_equal(fast.embeddings, slow.embeddings)
+    assert np.array_equal(fast.insert_steps, slow.insert_steps)
+    assert _drift(fast) <= 1e-12
+    return fast, events
+
+
+class TestSettle:
+    """A row the next replacement would evict is settled: logged as the next
+    victim without touching the live scores. Every case replays duel_naive."""
+
+    @pytest.mark.parametrize(
+        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
+    )
+    def test_every_row_but_the_last_settles(self, kernel):
+        members, hub, _ = _hub()
+        k, b = members.shape[0], 6
+        _, events = _push_matches_naive(members, np.tile(hub, (b, 1)), kernel)
+        assert _settled(events, k) == list(range(b - 1))
+
+    def test_no_row_settles(self):
+        members, _, far = _hub()
+        _, events = _push_matches_naive(members, far)
+        assert _settled(events, members.shape[0]) == []
+
+    def test_settled_and_kept_rows_alternate(self):
+        members, hub, far = _hub()
+        batch = np.array([hub, far[0], hub, far[1], hub, far[2], hub])
+        _, events = _push_matches_naive(members, batch)
+        assert _settled(events, members.shape[0]) == [0, 2, 4]
+
+    def test_last_row_is_kept_even_when_most_duplicated(self):
+        members, hub, _ = _hub()
+        k, b = members.shape[0], 4
+        fast, events = _push_matches_naive(members, np.tile(hub, (b, 1)))
+        assert events.victims[1:].tolist() == [k, k + 1, k + 2]
+        last = int(events.inserted[-1])
+        assert last in fast.insert_steps
+        # It would be the next victim, but no replacement follows it.
+        assert fast.insert_steps[fast.duel_select_by_score()] == last
+
+    def test_exact_duplicates_tie_and_do_not_settle(self):
+        # Two held copies of the hub: each incoming copy ties within summation
+        # noise with a held one, and ties go to the lower index, so no copy
+        # is evicted on its own arrival.
+        members, hub, _ = _hub()
+        emb = np.vstack([members[:3], hub, members[3:7], hub, members[7:]])
+        k = emb.shape[0]
+        _, events = _push_matches_naive(emb, np.tile(hub, (4, 1)))
+        assert events.victims.tolist() == [3, 8, k, k + 1]
+        assert _settled(events, k) == []
+
+    @pytest.mark.parametrize("norm, recomputes", [(1.0, False), (1.0 - 5e-10, True)])
+    def test_self_score_off_max_takes_the_general_path(self, norm, recomputes, monkeypatch):
+        # A row _push accepts at norm 1 - 5e-10 scores itself 1 - 5e-10, so
+        # the drift probe of its eviction fails and the live scores are
+        # recomputed; a settled row would skip that probe. Exact unit rows
+        # settle and never recompute.
+        members, hub, _ = _hub()
+        row = norm * hub
+        self_miss = abs(pair_scores(row[None, :], row[None, :], AffineCosine())[0, 0] - 1.0)
+        assert (self_miss > 1e-12) == recomputes
+        k, b = members.shape[0], 5
+        batch = np.tile(row, (b, 1))
+        fast = ActiveMemory.from_arrays(members)
+        slow = ActiveMemory.from_arrays(members, policy="duel_naive")
+        calls = []
+        row_sums = ActiveMemory._row_sums
+
+        def counted(mem, *args):
+            calls.append(args)
+            return row_sums(mem, *args)
+
+        monkeypatch.setattr(ActiveMemory, "_row_sums", counted)
+        events = fast.push_batch(batch)
+        monkeypatch.undo()
+        assert bool(calls) == recomputes
+        assert events == slow.push_batch(batch)
+        assert np.array_equal(fast.embeddings, slow.embeddings)
+        assert _settled(events, k) == list(range(b - 1))
+
+    def test_most_rows_settle_on_a_dominant_stream(self):
+        k, b, pushes = 256, 64, 200
+        rng = np.random.default_rng(37)
+        X, labels = _clustered(rng, k + pushes * b, 16)
+        fast = ActiveMemory.from_arrays(X[:k], labels[:k])
+        slow = ActiveMemory.from_arrays(X[:k], labels[:k], policy="duel_naive")
+        settled = 0
+        for p in range(pushes):
+            batch = X[k + p * b : k + (p + 1) * b]
+            events = fast.push_batch(batch)
+            assert events == slow.push_batch(batch), f"push {p}"
+            settled += len(_settled(events, k))
+        assert np.array_equal(fast.embeddings, slow.embeddings)
+        assert _drift(fast) <= 1e-9
+        assert settled >= 0.9 * pushes * b
 
 
 class TestDriftGuard:
