@@ -6,9 +6,10 @@ the entry with the largest row sum of the pairwise duplication-score matrix
 (self pair included), so the policy can be driven entirely by cached row
 sums.
 
-The cache `_scores` stays coherent across calls, and no update path builds a
-k x k score matrix. A batched DUEL update of b entries into a memory of k
-follows a selection-mask scheme over the pool [memory; batch]:
+DUEL pushes and appends keep the cache `_scores` coherent across calls, and
+no update path builds a k x k score matrix. A batched DUEL update of b
+entries into a memory of k follows a selection-mask scheme over the pool
+[memory; batch]:
 
   * rows start selected for memory entries and deselected for the batch;
     live scores start from the cached row sums, and the batch's own rows
@@ -19,16 +20,18 @@ follows a selection-mask scheme over the pool [memory; batch]:
     zero it. A victim's row is a row of the cross block when it came in with
     this batch; a memory entry's row is computed on its own;
   * then offer the incoming row: add its masked scores to the other rows in
-    a spare buffer, and credit it its own masked row sum plus MAX_SCORE for
-    the self pair. It has the highest pool index among the selected rows, so
-    it loses every tie: the next replacement evicts it exactly when its
-    score beats every other live score by more than _TIE_TOL;
+    a spare buffer, and credit it its own masked row sum plus its self
+    score, taken as MAX_SCORE when it is within 1e-12 of it and from the
+    cross block's diagonal otherwise. It has the highest pool index among
+    the selected rows, so it loses every tie: the next replacement evicts it
+    exactly when its score beats every other live score by more than
+    _TIE_TOL;
   * settle test: when that holds, the row is not the batch's last, and its
-    self score is MAX_SCORE within 1e-12 (so the drift probe of its eviction
-    would pass), the row is logged as the next element's victim and the
-    state is left as it was, since inserting and evicting it returns that
-    state. Otherwise the row is kept: the spare buffer becomes the live
-    scores, the row is marked selected, and the next victim is picked.
+    self score is MAX_SCORE within 1e-12, the row is logged as the next
+    element's victim and the state is left as it was, since inserting and
+    evicting it returns that state. Otherwise the row is kept: the spare
+    buffer becomes the live scores, the row is marked selected, and the
+    next victim is picked.
 
 That costs O(b (k+b) z) per call instead of O((k+b)^2 z), and the Python
 loop does its victim bookkeeping per kept row only. Elements inserted
@@ -45,14 +48,14 @@ probes the cache for free: when it differs from the cached value by more
 than _DRIFT_TOL, the live scores are recomputed exactly before the choice is
 made. Settled rows never touch the zero-based array, so they add no rounding.
 
-The baseline policies (fifo, random, reservoir) read no scores but keep them
-coherent for snapshots and for a later DUEL update: after a call, each
-surviving row gains q(row, new) - q(row, old) summed over the overwritten
-slots, and each overwritten slot gets its new row sum exactly. Only a slot's
-final content counts, so a slot replaced twice in one call needs nothing
-special. Appends below capacity work the same way: held rows gain their
-sums against the appended rows, which get theirs exactly. Only the naive
-path recomputes the row sums from scratch, _ROW_BLOCK rows at a time.
+Appends below capacity extend the cache: held rows gain their sums against
+the appended rows, which get theirs exactly. The baseline policies (fifo,
+random, reservoir) read no scores, so their pushes only overwrite slots and
+mark the cache stale. Every reader of the cache (scores, snapshot_csv,
+state_dict, duel_select_by_score and a DUEL push, since the *_update
+wrappers may mix policies) first recomputes a stale cache from scratch,
+_ROW_BLOCK rows at a time. A memory goes stale only once it is full, and
+stays full, so appends never meet a stale cache.
 
 Eviction-log coordinates: a push returns one PushResult, whose victims
 array holds, per accepted item, the displaced entry's index. DUEL reports
@@ -199,6 +202,9 @@ class ActiveMemory:
         self._labels = np.full(capacity, UNLABELED, dtype=np.int64)
         self._steps = np.zeros(capacity, dtype=np.int64)
         self._scores = np.zeros(capacity)
+        # Set when a baseline push overwrote slots: _scores is then out of
+        # date until _fresh recomputes it.
+        self._stale = False
         self._count = 0
         self._seen = 0  # items offered so far; also the next insert id
 
@@ -245,6 +251,7 @@ class ActiveMemory:
     @property
     def scores(self) -> np.ndarray:
         """Cached duplication-score row sums, self pair included."""
+        self._fresh()
         return self._scores[: self._count].copy()
 
     def entries(self) -> list[MemoryEntry]:
@@ -292,6 +299,13 @@ class ActiveMemory:
 
     def _refresh_scores(self) -> None:
         self._scores[: self._count] = self.recomputed_scores()
+        self._stale = False
+
+    def _fresh(self) -> None:
+        """Bring the cache up to date for a reader; every read of _scores
+        goes through here."""
+        if self._stale:
+            self._refresh_scores()
 
     # -- selection --------------------------------------------------------
 
@@ -299,6 +313,7 @@ class ActiveMemory:
         """Index of the most duplicated entry: argmax of cached row sums."""
         if self._count == 0:
             raise ValueError("memory is empty")
+        self._fresh()
         return _tied_argmax(self._scores[: self._count])
 
     def duel_select_naive(self) -> int:
@@ -399,6 +414,7 @@ class ActiveMemory:
             self._scores[: self._count] = live_scores[keep]
 
     def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
+        self._fresh()
         k, b = self._count, X.shape[0]
         pool = np.vstack([self._emb[:k], X])
         labels = np.concatenate([self._labels[:k], lab])
@@ -427,8 +443,13 @@ class ActiveMemory:
         live = base.copy()
         top = np.maximum.reduce(live)
         tied = np.empty(k + b, dtype=bool)
-        # Rows that may settle: not the batch's last, and self score exact.
-        settles = (np.abs(np.diagonal(cross, offset=k) - MAX_SCORE) <= 1e-12).tolist()
+        # Rows whose self score is MAX_SCORE within 1e-12 are credited
+        # MAX_SCORE and may settle, unless they are the batch's last; any
+        # other row is credited its own, so its drift probe passes.
+        diag = np.diagonal(cross, offset=k)
+        exact = np.abs(diag - MAX_SCORE) <= 1e-12
+        self_credit = np.where(exact, MAX_SCORE, diag).tolist()
+        settles = exact.tolist()
         settles[-1] = False
         victims = []
         settled = False
@@ -455,7 +476,7 @@ class ActiveMemory:
             # Row i is still at -inf in base, so top is over the other rows.
             np.add(base, spare, out=live)
             top = np.maximum.reduce(live)
-            own = t @ sel + MAX_SCORE
+            own = t @ sel + self_credit[i - k]
             settled = settles[i - k] and top < own - _TIE_TOL
             if settled:
                 victims.append(i)
@@ -516,38 +537,19 @@ class ActiveMemory:
         self, victims: np.ndarray, rows: np.ndarray, X: np.ndarray, lab: np.ndarray
     ) -> PushResult:
         """Write X[rows[r]] into slot victims[r] for each r in order, give
-        every offered row of X an insert id, and bring the cached row sums up
-        to date.
-
-        A slot hit more than once ends with its last write, and only its
-        content at call start and at call end enter the scores: each row
-        gains q(row, new) - q(row, old) summed over the overwritten slots,
-        and each overwritten slot gets its new row sum exactly.
-        """
+        every offered row of X an insert id, and mark the cached row sums
+        stale. A slot hit more than once ends with its last write."""
         seen = self._seen
         self._seen += X.shape[0]
         events = PushResult(victims, seen + rows)
         if victims.size == 0:
             return events
-        slots, first = np.unique(victims, return_index=True)
-        _, from_end = np.unique(victims[::-1], return_index=True)
+        slots, from_end = np.unique(victims[::-1], return_index=True)
         last = rows[victims.size - 1 - from_end]
-        # First-hit order fixes the order in which the rescoring below sums.
-        order = np.argsort(first)
-        slots, last = slots[order], last[order]
-        before, before_labels = self._emb[slots], self._labels[slots]
         self._emb[slots] = X[last]
         self._labels[slots] = lab[last]
         self._steps[slots] = seen + last
-
-        n = self._count
-        E, labels = self._emb[:n], self._labels[:n]
-        kl = self._kernel_labels(labels)
-        rows_labels = self._kernel_labels(np.concatenate([labels[slots], before_labels]))
-        Q = pair_scores(np.vstack([E[slots], before]), E, self.kernel, rows_labels, kl)
-        new_q, old_q = Q[: slots.size], Q[slots.size :]
-        self._scores[:n] += new_q.sum(axis=0) - old_q.sum(axis=0)
-        self._scores[slots] = new_q.sum(axis=1)
+        self._stale = True
         return events
 
     # -- probes and sampling ----------------------------------------------
@@ -594,6 +596,7 @@ class ActiveMemory:
 
     def snapshot_csv(self, path) -> None:
         """Write `index,label,insert_step,score,v_0..v_{z-1}` rows."""
+        self._fresh()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -608,6 +611,12 @@ class ActiveMemory:
                 )
 
     def state_dict(self) -> dict:
+        self._fresh()
+        return self._save()
+
+    def _save(self) -> dict:
+        """The state as it is, without refreshing stale scores; _restore
+        takes it back together with the stale flag."""
         return {
             "emb": self._emb.copy(),
             "labels": self._labels.copy(),
@@ -657,12 +666,14 @@ class ActiveMemory:
             raise ValueError("scores: cached row sums differ from a recompute by > 1e-9")
         self._restore({**state, "emb": emb, "labels": labels, "steps": steps, "scores": scores})
 
-    def _restore(self, state: dict) -> None:
-        """Adopt a state_dict as it is; for snapshots this memory took itself."""
+    def _restore(self, state: dict, stale: bool = False) -> None:
+        """Adopt a saved state as it is; for snapshots this memory took
+        itself. `stale` is the memory's stale flag when it was saved."""
         self._emb, self._labels = state["emb"], state["labels"]
         self._steps, self._scores = state["steps"], state["scores"]
         self._count, self._seen = int(state["count"]), int(state["seen"])
         self.rng.bit_generator.state = state["rng"]
+        self._stale = stale
 
 
 # The update path of each policy, called with the entries that must displace
@@ -729,10 +740,11 @@ def guarded_update(
     if probe_embeddings.size == 0:
         raise ValueError("probe must be nonempty")
     before = mem.mean_distinctiveness(probe_embeddings, probe_labels)
-    saved = mem.state_dict()
+    # _save, not state_dict: a revert needs no fresh scores.
+    saved, stale = mem._save(), mem._stale
     events = mem.push_batch(embeddings, labels)
     after = mem.mean_distinctiveness(probe_embeddings, probe_labels)
     if after < before - 1e-12:
-        mem._restore(saved)
+        mem._restore(saved, stale)
         return events, False
     return events, True

@@ -7,6 +7,7 @@ counts for a fast smoke pass.
 
 from __future__ import annotations
 
+import copy
 import math
 import tempfile
 from dataclasses import dataclass
@@ -30,7 +31,12 @@ from .kernels import (
     normalize,
     pair_scores,
 )
-from .memory import ActiveMemory, guarded_update
+from .memory import (
+    ActiveMemory,
+    duel_update_incremental,
+    duel_update_naive,
+    guarded_update,
+)
 from .metrics import class_entropy, intra_class_variance, linear_probe
 from .streams import StreamConfig, Dominant, GaussianPairStream, longtail_probs, oracle_embedding_stream
 from .trainer import (
@@ -249,24 +255,46 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     settled = int(np.count_nonzero(ev_fast.victims[1:] == k + np.arange(b - 1)))
     if settled < b // 2:
         return False, f"dominant-cluster trial evicted only {settled} of {b} rows on arrival"
+    # The log reads the same when such rows take the general path, which they
+    # do unless they score themselves MAX_SCORE; then no row is settled.
+    own = np.diagonal(pair_scores(X[-b:], X[-b:], AffineCosine()))
+    if np.max(np.abs(own - memory_module.MAX_SCORE)) > 1e-12:
+        return False, "unit rows do not score themselves MAX_SCORE, so none settles"
     return True, f"{2 * trials + 1} batched updates, both kernels, {settled}/{b} settled"
 
 
 def check_cache_coherence(quick: bool) -> tuple[bool, str]:
-    """Cached scores match a full recompute after any policy's updates."""
+    """Cached scores match a full recompute after any policy's updates.
+
+    The baselines leave the cache stale and a read recomputes it, so their
+    trials end with a DUEL update, which must read it up to date: it must
+    replay duel_update_naive on a twin memory. They run under the label
+    oracle, where overwrites leave many row sums exact, so a victim picked
+    from a stale cache can pass the DUEL drift probe.
+    """
     rng = np.random.default_rng(17)
     trials = 10 if quick else 40
     for policy in ("duel", "duel_naive", "fifo", "random", "reservoir"):
+        baseline = policy in ("fifo", "random", "reservoir")
         for _ in range(trials):
             k, z = int(rng.integers(4, 32)), 8
-            mem = _random_memory(rng, k, z, policy=policy)
+            kernel = LabelOracle() if baseline else None
+            mem = _random_memory(rng, k, z, kernel=kernel, policy=policy)
             for _ in range(3):
                 nb = int(rng.integers(1, 9))
                 mem.push_batch(_random_unit(rng, nb, z), rng.integers(0, 5, size=nb))
+            if baseline:
+                twin = copy.deepcopy(mem)
+                nb = int(rng.integers(1, 9))
+                batch, labels = _random_unit(rng, nb, z), rng.integers(0, 5, size=nb)
+                if duel_update_incremental(mem, batch, labels) != duel_update_naive(
+                    twin, batch, labels
+                ) or not np.array_equal(mem.embeddings, twin.embeddings):
+                    return False, f"{policy}: DUEL update after it diverges from duel_naive"
             drift = np.max(np.abs(mem.scores - mem.recomputed_scores()))
             if drift > 1e-9:
                 return False, f"{policy}: cache drift {drift:.2e}"
-    return True, "all policies within 1e-9"
+    return True, "all policies within 1e-9; baselines then replay duel_naive"
 
 
 def check_label_blindness(quick: bool) -> tuple[bool, str]:
