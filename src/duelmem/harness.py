@@ -319,10 +319,6 @@ def run_experiment(
     for _ in range(cfg.trainer.steps):
         X, Xp, labels = stream.sample_batch(cfg.trainer.batch_size)
         report = train_step(state, X, Xp, labels)
-        if report.step == mid_step:
-            memory.snapshot_csv(
-                os.path.join(out_dir, f"memory_step{report.step:06d}.csv")
-            )
         if report.step % cfg.eval.cadence == 0 or report.step == cfg.trainer.steps:
             Zeval = state.extractor.forward(eval_X)
             is_final = report.step == cfg.trainer.steps
@@ -347,6 +343,12 @@ def run_experiment(
                     dominant_frac=dominant_fraction(memory.labels),
                     probe_acc=probe_acc,
                 )
+            )
+        # After the eval row, whose mean_distinctiveness leaves the score
+        # cache fresh, so a snapshot at an eval step computes no scores.
+        if report.step == mid_step:
+            memory.snapshot_csv(
+                os.path.join(out_dir, f"memory_step{report.step:06d}.csv")
             )
 
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)

@@ -54,10 +54,13 @@ class ExponentialTemp:
             raise ValueError("tau must be > 0")
 
     def from_cosine(self, s: np.ndarray) -> np.ndarray:
-        q = np.array(s, dtype=np.float64)
+        return self.from_cosine_inplace(np.array(s, dtype=np.float64))[()]
+
+    def from_cosine_inplace(self, q: np.ndarray) -> np.ndarray:
+        """from_cosine written over q, a float64 array, and returned."""
         q -= 1.0
         q /= self.tau
-        return np.exp(q, out=q)[()]
+        return np.exp(q, out=q)
 
 
 @dataclass(frozen=True)
@@ -65,10 +68,14 @@ class AffineCosine:
     """q = (1 + s) / 2 for cosine s. Maps [-1, 1] onto [0, 1]."""
 
     def from_cosine(self, s: np.ndarray) -> np.ndarray:
-        q = np.array(s, dtype=np.float64)
+        return self.from_cosine_inplace(np.array(s, dtype=np.float64))[()]
+
+    def from_cosine_inplace(self, q: np.ndarray) -> np.ndarray:
+        """from_cosine written over q, a float64 array, and returned."""
         q += 1.0
-        q /= 2.0
-        return q[()]
+        # Halving is exact, so multiplying by 0.5 equals dividing by 2.
+        q *= 0.5
+        return q
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,9 @@ def pair_scores(
 
     X is (n, z), Y is (m, z); the result is (n, m). Cosines are clipped to
     [-1, 1] before the kernel is applied so that float drift in the dot
-    products cannot push q outside its range.
+    products cannot push q outside its range. The clip and the kernel work
+    in place on the matrix X @ Y.T allocates, so the call makes no other
+    n x m array.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -128,7 +137,9 @@ def pair_scores(
         ly = np.asarray(labels_y).reshape(1, -1)
         return (lx == ly).astype(np.float64)
     s = X @ Y.T
-    return kernel.from_cosine(np.clip(s, -1.0, 1.0, out=s))
+    np.minimum(s, 1.0, out=s)
+    np.maximum(s, -1.0, out=s)
+    return kernel.from_cosine_inplace(s)
 
 
 def self_scores(

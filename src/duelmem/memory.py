@@ -54,8 +54,11 @@ random, reservoir) read no scores, so their pushes only overwrite slots and
 mark the cache stale. Every reader of the cache (scores, snapshot_csv,
 state_dict, duel_select_by_score and a DUEL push, since the *_update
 wrappers may mix policies) first recomputes a stale cache from scratch,
-_ROW_BLOCK rows at a time. A memory goes stale only once it is full, and
-stays full, so appends never meet a stale cache.
+_ROW_BLOCK rows at a time. mean_distinctiveness over the memory's own
+entries makes that same recompute whatever the cache holds, and keeps it as
+the cache when the cache is stale, so the next reader finds it fresh. A
+memory goes stale only once it is full, and stays full, so appends never
+meet a stale cache.
 
 Eviction-log coordinates: a push returns one PushResult, whose victims
 array holds, per accepted item, the displaced entry's index. DUEL reports
@@ -67,13 +70,13 @@ reads as None on the EvictionEvent view.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .information import FiniteDistribution
 from .kernels import AffineCosine, Kernel, LabelOracle, pair_scores, self_scores
+from .streams import csv_row
 
 __all__ = [
     "MAX_SCORE",
@@ -297,9 +300,12 @@ class ActiveMemory:
         labels = self._kernel_labels(self._labels[: self._count])
         return self._row_sums(E, E, labels, labels)
 
-    def _refresh_scores(self) -> None:
-        self._scores[: self._count] = self.recomputed_scores()
+    def _refresh_scores(self) -> np.ndarray:
+        """Recompute the cache and return the new row sums."""
+        sums = self.recomputed_scores()
+        self._scores[: self._count] = sums
         self._stale = False
+        return sums
 
     def _fresh(self) -> None:
         """Bring the cache up to date for a reader; every read of _scores
@@ -561,23 +567,25 @@ class ActiveMemory:
     ) -> float:
         """Mean -log(mean duplication score against memory) over the probe.
 
-        Defaults to probing with the memory's own entries.
+        Defaults to probing with the memory's own entries. Their row sums are
+        recomputed exactly rather than read from the cache, whose DUEL sums
+        carry summation noise; a stale cache keeps the recompute.
         """
         if self._count == 0:
             raise ValueError("memory is empty")
         if probe_embeddings is None:
-            probe_embeddings = self._emb[: self._count]
-            probe_labels = self._labels[: self._count]
-        probe_embeddings = np.asarray(probe_embeddings, dtype=np.float64)
-        mem_labels = self._kernel_labels(self._labels[: self._count])
-        if isinstance(self.kernel, LabelOracle) and probe_labels is None:
-            raise ValueError("LabelOracle kernel requires probe labels")
-        sums = self._row_sums(
-            probe_embeddings,
-            self._emb[: self._count],
-            None if probe_labels is None else np.asarray(probe_labels),
-            mem_labels,
-        )
+            if probe_labels is not None:
+                raise ValueError("probe_labels given without probe_embeddings")
+            sums = self._refresh_scores() if self._stale else self.recomputed_scores()
+        else:
+            if isinstance(self.kernel, LabelOracle) and probe_labels is None:
+                raise ValueError("LabelOracle kernel requires probe labels")
+            sums = self._row_sums(
+                np.asarray(probe_embeddings, dtype=np.float64),
+                self._emb[: self._count],
+                None if probe_labels is None else np.asarray(probe_labels),
+                self._kernel_labels(self._labels[: self._count]),
+            )
         with np.errstate(divide="ignore"):
             distinct = -np.log(sums / self._count)
         return float(distinct.mean())
@@ -597,18 +605,20 @@ class ActiveMemory:
     def snapshot_csv(self, path) -> None:
         """Write `index,label,insert_step,score,v_0..v_{z-1}` rows."""
         self._fresh()
+        n = self._count
+        labels = ["" if v == UNLABELED else v for v in self._labels[:n].tolist()]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["index", "label", "insert_step", "score"]
-                + [f"v_{d}" for d in range(self.dim)]
-            )
-            for i in range(self._count):
-                label = "" if self._labels[i] == UNLABELED else int(self._labels[i])
-                writer.writerow(
-                    [i, label, int(self._steps[i]), repr(float(self._scores[i]))]
-                    + [repr(float(v)) for v in self._emb[i]]
+            fh.write(
+                csv_row(
+                    ["index", "label", "insert_step", "score"]
+                    + [f"v_{d}" for d in range(self.dim)],
+                    [],
                 )
+            )
+            for i, label, step, score in zip(
+                range(n), labels, self._steps[:n].tolist(), self._scores[:n].tolist()
+            ):
+                fh.write(csv_row((i, label, step), [score, *self._emb[i].tolist()]))
 
     def state_dict(self) -> dict:
         self._fresh()

@@ -8,6 +8,7 @@ adding augmentation noise to x.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ __all__ = [
     "class_cdf",
     "class_means",
     "class_probs",
+    "csv_row",
     "load_embedding_stream",
     "longtail_probs",
     "oracle_embedding_stream",
@@ -230,6 +232,31 @@ def oracle_embedding_stream(
 _NORM_SLACK = 1e-6
 
 
+# Characters that make csv.writer's default dialect quote a cell.
+_QUOTED = re.compile('[,"\r\n]')
+
+
+def _csv_cell(cell) -> str:
+    text = "" if cell is None else str(cell)
+    if _QUOTED.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_row(lead, floats) -> str:
+    """One CSV line: the `lead` cells, then each float through repr, ended
+    by '\r\n'.
+
+    For a row of two or more cells the bytes are those csv.writer's default
+    dialect writes for `list(lead) + [repr(v) for v in floats]`: lead cells
+    through str, None as an empty cell, quoted where they hold a comma, a
+    quote or a line break. (A lone empty cell is the one row csv.writer
+    writes differently, as '""'.) repr keeps nan, inf and -0.0 as they are.
+    `floats` holds Python floats, as ndarray.tolist() gives them.
+    """
+    return ",".join([*map(_csv_cell, lead), *map(repr, floats)]) + "\r\n"
+
+
 def write_embedding_csv(
     path,
     embeddings: np.ndarray,
@@ -240,14 +267,11 @@ def write_embedding_csv(
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n, z = embeddings.shape
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "label"] + [f"v_{d}" for d in range(z)])
+        fh.write(csv_row(["id", "label"] + [f"v_{d}" for d in range(z)], []))
         for i in range(n):
             row_id = i if ids is None else ids[i]
             label = "" if labels is None else int(labels[i])
-            writer.writerow(
-                [row_id, label] + [repr(float(v)) for v in embeddings[i]]
-            )
+            fh.write(csv_row((row_id, label), embeddings[i].tolist()))
 
 
 def load_embedding_stream(path) -> tuple[list, np.ndarray, np.ndarray]:

@@ -122,6 +122,42 @@ class TestPairScores:
                         Q[i, j], mdp(X[i], Y[j], kernel), abs_tol=1e-12
                     )
 
+    @pytest.mark.parametrize(
+        "kernel",
+        [AffineCosine(), ExponentialTemp(tau=0.5), ExponentialTemp(tau=0.07)],
+        ids=["affine", "exp0.5", "exp0.07"],
+    )
+    def test_bit_identical_to_copying_formula(self, kernel):
+        # The reference is the kernel written out with a clipped copy: np.clip,
+        # then (s + 1) / 2 or exp((s - 1) / tau).
+        def reference(X, Y):
+            q = np.array(np.clip(X @ Y.T, -1.0, 1.0))
+            if isinstance(kernel, AffineCosine):
+                q += 1.0
+                q /= 2.0
+                return q
+            q -= 1.0
+            q /= kernel.tau
+            return np.exp(q)
+
+        rng = np.random.default_rng(7)
+        U = _unit(rng, 40, 6)
+        # Exact duplicates and antipodal rows, whose cosines round past +-1,
+        # and rows of norm far from 1.
+        X = np.vstack([U, U[:10], -U[10:20], 3.0 * U[20:25], 1e-3 * U[25:30]])
+        Y = np.vstack([U, -U[:15], 0.5 * U[30:]])
+        cos = X @ Y.T
+        assert (cos > 1.0).any() and (cos < -1.0).any()
+        assert ((np.abs(cos) > 1.0) & (np.abs(cos) < 1.0 + 1e-12)).any()
+        X0, Y0 = X.copy(), Y.copy()
+        Q = pair_scores(X, Y, kernel)
+        assert Q.tobytes() == reference(X0, Y0).tobytes()
+        assert Q.dtype == np.float64 and Q.shape == (X.shape[0], Y.shape[0])
+        assert X.tobytes() == X0.tobytes() and Y.tobytes() == Y0.tobytes()
+        S = self_scores(X, kernel)
+        assert S.tobytes() == reference(X0, X0).tobytes()
+        assert X.tobytes() == X0.tobytes()
+
     def test_self_scores_diagonal_is_one(self):
         rng = np.random.default_rng(2)
         X = _unit(rng, 6, 3)

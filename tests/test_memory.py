@@ -471,6 +471,80 @@ class TestLazyBaselineScores:
         assert np.max(np.abs(scores - mem.recomputed_scores())) <= 1e-9
 
 
+class TestDistinctivenessRead:
+    """mean_distinctiveness() recomputes the memory's own row sums exactly,
+    and a stale cache keeps that recompute, so the next reader scores
+    nothing."""
+
+    def _stale(self, n=64, z=5):
+        rng = np.random.default_rng(43)
+        mem = _filled(rng, n, z, policy="fifo")
+        mem.push_batch(_unit(rng, 8, z), rng.integers(0, 5, size=8))
+        return mem
+
+    @pytest.mark.parametrize("read", ["snapshot_csv", "state_dict", "scores"])
+    def test_stale_cache_keeps_the_recompute(self, read, monkeypatch, tmp_path):
+        n = 64
+        mem = self._stale(n)
+        twin = copy.deepcopy(mem)
+        entries = _count_entries(monkeypatch)
+        value = mem.mean_distinctiveness()
+        assert sum(entries) == n * n
+        if read == "snapshot_csv":
+            mem.snapshot_csv(tmp_path / "snap.csv")
+        elif read == "state_dict":
+            mem.state_dict()
+        else:
+            mem.scores
+        assert sum(entries) == n * n
+        monkeypatch.undo()
+        # The same value, and the same cache bytes, as a refresh would give.
+        assert value == twin.mean_distinctiveness(twin.embeddings, twin.labels)
+        assert mem.scores.tobytes() == twin.scores.tobytes()
+
+    def test_duel_cache_is_left_as_it_is(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        n = 48
+        mem = _filled(rng, n, 5)
+        for _ in range(10):
+            mem.push_batch(_unit(rng, 8, 5), rng.integers(0, 5, size=8))
+        cached = mem._scores.tobytes()
+        exact = mem.recomputed_scores()
+        # The incremental sums carry summation noise that a recompute drops.
+        assert cached != np.concatenate([exact, mem._scores[n:]]).tobytes()
+        entries = _count_entries(monkeypatch)
+        value = mem.mean_distinctiveness()
+        assert sum(entries) == n * n
+        assert mem._scores.tobytes() == cached
+        assert value == float(np.mean(-np.log(exact / n)))
+
+    def test_probe_labels_without_embeddings_rejected(self):
+        mem = self._stale()
+        with pytest.raises(ValueError, match="probe_labels"):
+            mem.mean_distinctiveness(probe_labels=mem.labels)
+        with pytest.raises(ValueError, match="probe_labels"):
+            mem.mean_distinctiveness(None, np.zeros(3, dtype=int))
+
+    def test_fifo_run_recomputes_once_per_eval_row(self, monkeypatch, tmp_path):
+        from duelmem.harness import default_config_dict, parse_config, run_experiment
+
+        raw = default_config_dict()
+        raw["stream"].update(n_classes=3, d_in=6)
+        raw["trainer"].update(batch_size=4, steps=8, memory_neg_count=4, d_out=4)
+        raw["memory"].update(capacity=8, policy="fifo")
+        raw["eval"].update(
+            cadence=2, eval_per_class=4, probe_train_per_class=4,
+            probe_test_per_class=4, probe_steps=5,
+        )
+        entries = _count_entries(monkeypatch)
+        result = run_experiment(parse_config(raw), 0, str(tmp_path))
+        # Filling to 8 entries costs 8^2 scores; every later recompute is the
+        # whole memory, once per eval row. The snapshots at step 4 and 8 and
+        # the checkpoint find the cache fresh.
+        assert len(result.rows) == 4
+        assert sum(entries) == 8 * 8 * (1 + len(result.rows))
+
+
 def _hub(z=6, theta=np.pi / 6):
     """A hub c = e_0 and a memory of 2(z-1) members at angle theta from it,
     cos(theta) c +- sin(theta) e_i. The hub is more duplicated by the
@@ -838,6 +912,32 @@ class TestPersistence:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert all(row[1] == "" for row in rows[1:])
+
+    def test_snapshot_bytes_match_csv_writer(self, tmp_path):
+        # Unit rows holding -0.0 and the smallest subnormal, some unlabeled.
+        rows = np.array(
+            [[1.0, -0.0, 5e-324], [-0.0, 1.0, 0.0], [0.6, -0.8, -0.0], [-1.0, 0.0, -5e-324]]
+        )
+        mem = ActiveMemory.from_arrays(rows, np.array([2, -1, 0, -1]), capacity=6)
+        path, ref = tmp_path / "snap.csv", tmp_path / "ref.csv"
+        mem.snapshot_csv(path)
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["index", "label", "insert_step", "score", "v_0", "v_1", "v_2"])
+            for i, (label, step, score, emb) in enumerate(
+                zip(mem.labels, mem.insert_steps, mem.scores, mem.embeddings)
+            ):
+                writer.writerow(
+                    [i, "" if label == -1 else int(label), int(step), repr(float(score))]
+                    + [repr(float(v)) for v in emb]
+                )
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"-0.0" in path.read_bytes() and b"5e-324" in path.read_bytes()
+
+    def test_empty_snapshot_writes_header_only(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        ActiveMemory(4, 2).snapshot_csv(path)
+        assert path.read_bytes() == b"index,label,insert_step,score,v_0,v_1\r\n"
 
     def test_state_dict_round_trip(self):
         rng = np.random.default_rng(17)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from duelmem.streams import (
     StreamConfig,
     class_means,
     class_probs,
+    csv_row,
     load_embedding_stream,
     longtail_probs,
     oracle_embedding_stream,
@@ -293,3 +295,68 @@ class TestEmbeddingCsv:
         self._write(path, ["0,0,1.0,0.0"])
         with pytest.raises(ValueError):
             load_embedding_stream(path)
+
+
+# Cells the csv.writer + repr reference must reproduce byte for byte: signed
+# zero, the smallest subnormal, non-finite values, and round-trip digits.
+_ODD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 0.1, 1 / 3, -1e300]
+
+
+def _csv_writer_reference(path, header, rows):
+    """The former writer: csv.writer with every float cell through repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lead, floats in rows:
+            writer.writerow(list(lead) + [repr(float(v)) for v in floats])
+
+
+class TestCsvRow:
+    @pytest.mark.parametrize(
+        "lead",
+        [
+            (0, ""),
+            (12, 3, 40),
+            ("", ""),
+            ("a,b", 'say "x"', "line\nbreak", "cr\rx", None, np.int64(7), 2.5),
+        ],
+        ids=["unlabeled", "ints", "empty", "quoted"],
+    )
+    def test_matches_csv_writer(self, lead, tmp_path):
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        header = ["id", "label"] + [f"v_{d}" for d in range(len(_ODD_FLOATS))]
+        with open(got, "w", newline="") as fh:
+            fh.write(csv_row(header, []))
+            fh.write(csv_row(lead, _ODD_FLOATS))
+        _csv_writer_reference(ref, header, [(lead, _ODD_FLOATS)])
+        assert got.read_bytes() == ref.read_bytes()
+        assert got.read_bytes().count(b"\r\n") == 2
+
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabeled"])
+    def test_embedding_csv_matches_csv_writer(self, labelled, tmp_path):
+        rng = np.random.default_rng(5)
+        emb = rng.normal(size=(4, len(_ODD_FLOATS)))
+        emb[0] = _ODD_FLOATS
+        emb[1, ::2] = -0.0
+        labels = np.array([3, 0, 1, 2]) if labelled else None
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_embedding_csv(got, emb, labels)
+        header = ["id", "label"] + [f"v_{d}" for d in range(emb.shape[1])]
+        cells = [(i, "" if labels is None else int(labels[i])) for i in range(4)]
+        _csv_writer_reference(ref, header, zip(cells, emb))
+        assert got.read_bytes() == ref.read_bytes()
+        assert got.read_bytes().endswith(b"\r\n")
+        assert b"nan,inf,-inf" in got.read_bytes()
+
+    def test_embedding_csv_ids_match_csv_writer(self, tmp_path):
+        ids = ["a,b", 'q"x', "plain"]
+        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
+        write_embedding_csv(got, np.eye(3), np.arange(3), ids=ids)
+        header = ["id", "label", "v_0", "v_1", "v_2"]
+        _csv_writer_reference(ref, header, zip(zip(ids, range(3)), np.eye(3)))
+        assert got.read_bytes() == ref.read_bytes()
+
+    def test_empty_array_writes_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        write_embedding_csv(path, np.zeros((0, 3)))
+        assert path.read_bytes() == b"id,label,v_0,v_1,v_2\r\n"
