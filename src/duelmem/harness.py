@@ -7,7 +7,6 @@ and the memory policy, so repeated runs write byte-identical artifacts.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import os
@@ -28,7 +27,14 @@ from .metrics import (
     linear_probe,
     write_metrics_csv,
 )
-from .streams import Dominant, GaussianPairStream, Imbalance, LongTail, StreamConfig
+from .streams import (
+    Dominant,
+    GaussianPairStream,
+    Imbalance,
+    LongTail,
+    StreamConfig,
+    csv_row,
+)
 from .trainer import (
     FeatureExtractor,
     TrainState,
@@ -419,12 +425,13 @@ def bench_policies(
         rows.append(mean_row)
 
     with open(os.path.join(out_dir, "bench.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BENCH_FIELDS)
+        fh.write(csv_row(BENCH_FIELDS, []))
         for row in rows:
-            writer.writerow(
-                [row["policy"], row["seed"]]
-                + [repr(float(row[k])) for k in BENCH_FIELDS[2:]]
+            fh.write(
+                csv_row(
+                    (row["policy"], row["seed"]),
+                    [float(row[k]) for k in BENCH_FIELDS[2:]],
+                )
             )
     return rows
 

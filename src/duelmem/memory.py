@@ -31,7 +31,19 @@ entries into a memory of k follows a selection-mask scheme over the pool
     element's victim and the state is left as it was, since inserting and
     evicting it returns that state. Otherwise the row is kept: the spare
     buffer becomes the live scores, the row is marked selected, and the
-    next victim is picked.
+    next victim is picked;
+  * settle blocks: since settled rows leave the state unchanged, once three
+    rows in a row have settled the next rows are offered together against
+    that state, in a block as long as the run so far (3, 6, 12, 24 rows, then
+    _SETTLE_BLOCK at most). A block takes one (delta + T) + base add over its
+    rows T of the cross block, one row-wise maximum and one np.vecdot(T, sel)
+    for their masked sums. These are the bytes each row gets on its own: the
+    adds are the same elementwise operations, the maximum is exact, and
+    np.vecdot's row r equals T[r] @ sel bit for bit (T @ sel does not). Rows
+    before the first that does not settle are logged as victims; that row is
+    kept from its row of the block, and the run restarts. The first three
+    rows after a kept row are offered one at a time, four numpy calls on
+    (k+b) floats each, so short runs pay for no block.
 
 That costs O(b (k+b) z) per call instead of O((k+b)^2 z), and the Python
 loop does its victim bookkeeping per kept row only. Elements inserted
@@ -114,6 +126,10 @@ _DRIFT_TOL = 1e-10
 # Rows per block when scores are summed over the whole memory, so that no
 # k x k matrix is ever live (128 rows against 4096 entries is 4 MB).
 _ROW_BLOCK = 128
+
+# Most rows offered in one block during a run of settling DUEL rows, so that
+# a block holds at most this many (k+b)-long rows of live scores.
+_SETTLE_BLOCK = 32
 
 
 def _tied_argmax(values: np.ndarray) -> int:
@@ -458,41 +474,67 @@ class ActiveMemory:
         settles = exact.tolist()
         settles[-1] = False
         victims = []
-        settled = False
-        for i in range(k, k + b):
-            if not settled:
-                # _tied_argmax without its allocations.
-                j = int(np.greater_equal(live, top - _TIE_TOL, out=tied).argmax())
-                r = row(j)
-                # r @ sel is j's exact row sum, a free probe of the cache.
-                if abs(r @ sel - live[j]) > _DRIFT_TOL:
-                    held = np.flatnonzero(sel)
-                    lh = None if kl is None else kl[held]
-                    base.fill(-np.inf)
-                    base[held] = self._row_sums(pool[held], pool[held], lh, lh)
-                    delta.fill(0.0)
-                    j = _tied_argmax(base)
+        run = 0  # rows settled since the last kept row; blocks from 3 on
+        i = k
+        while i < k + b:
+            if run < 3:
+                if run == 0:
+                    # _tied_argmax without its allocations.
+                    j = int(np.greater_equal(live, top - _TIE_TOL, out=tied).argmax())
                     r = row(j)
-                delta -= r
-                sel[j] = 0.0
-                base[j] = -np.inf
-                victims.append(j)
-            t = cross[i - k]
-            np.add(delta, t, out=spare)
-            # Row i is still at -inf in base, so top is over the other rows.
-            np.add(base, spare, out=live)
-            top = np.maximum.reduce(live)
-            own = t @ sel + self_credit[i - k]
-            settled = settles[i - k] and top < own - _TIE_TOL
-            if settled:
-                victims.append(i)
-                continue
+                    # r @ sel is j's exact row sum, a free probe of the cache.
+                    if abs(r @ sel - live[j]) > _DRIFT_TOL:
+                        held = np.flatnonzero(sel)
+                        lh = None if kl is None else kl[held]
+                        base.fill(-np.inf)
+                        base[held] = self._row_sums(pool[held], pool[held], lh, lh)
+                        delta.fill(0.0)
+                        j = _tied_argmax(base)
+                        r = row(j)
+                    delta -= r
+                    sel[j] = 0.0
+                    base[j] = -np.inf
+                    victims.append(j)
+                t = cross[i - k]
+                np.add(delta, t, out=spare)
+                # Row i is still at -inf in base, so top is over the other rows.
+                np.add(base, spare, out=live)
+                top = np.maximum.reduce(live)
+                own = t @ sel + self_credit[i - k]
+                if settles[i - k] and top < own - _TIE_TOL:
+                    victims.append(i)
+                    run, i = run + 1, i + 1
+                    continue
+            else:
+                # A settle block (see the module docstring): each row gets
+                # the sums, maximum and masked sum it would get on its own.
+                a = i - k
+                n = min(run, _SETTLE_BLOCK, b - a)
+                T = cross[a : a + n]
+                block = delta + T
+                block += base
+                tops = np.maximum.reduce(block, axis=1).tolist()
+                dots = np.vecdot(T, sel).tolist()
+                m = 0
+                while m < n:
+                    top, own = tops[m], dots[m] + self_credit[a + m]
+                    if not (settles[a + m] and top < own - _TIE_TOL):
+                        break
+                    m += 1
+                victims.extend(range(i, i + m))
+                run, i = run + m, i + m
+                if m == n:
+                    continue
+                # Row i does not settle: it is kept, from its row of the block.
+                np.add(delta, cross[i - k], out=spare)
+                live[:] = block[m]
             delta, spare = spare, delta
             base[i] = own
             delta[i] = 0.0
             live[i] = own
             sel[i] = 1.0
             top = max(top, own)
+            run, i = 0, i + 1
         self._compact(sel, pool, labels, ids, live_scores=base + delta)
         self._seen += b
         return PushResult(victims, ids[k:])
@@ -598,7 +640,7 @@ class ActiveMemory:
             raise ValueError("n must be >= 0")
         replace = n > self._count
         idx = rng.choice(self._count, size=n, replace=replace)
-        return self._emb[idx].copy()
+        return self._emb[idx]
 
     # -- persistence ------------------------------------------------------
 

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import normalize
+from .streams import csv_row
 
 __all__ = [
     "MetricsRow",
@@ -207,7 +207,6 @@ def metrics_header() -> list[str]:
 
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(metrics_header())
+        fh.write(csv_row(metrics_header(), []))
         for row in rows:
-            writer.writerow(row.as_csv())
+            fh.write(csv_row(row.as_csv(), []))

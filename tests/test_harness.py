@@ -1,23 +1,28 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 
+import duelmem.harness as harness_module
 from duelmem.cli import main
 from duelmem.harness import (
     BENCH_FIELDS,
     CONFIG_VERSION,
     ConfigError,
+    RunResult,
     bench_policies,
     default_config_dict,
     export_embeddings,
     parse_config,
     run_experiment,
 )
+from duelmem.metrics import MetricsRow
 from duelmem.streams import load_embedding_stream
 from duelmem.trainer import load_checkpoint
 
@@ -322,6 +327,41 @@ class TestBenchPolicies:
         cfg = parse_config(tiny_config_dict())
         with pytest.raises(ConfigError, match="lru"):
             bench_policies(cfg, ["lru"], out_dir=str(tmp_path))
+
+    def test_file_bytes_match_csv_writer(self, tmp_path, monkeypatch):
+        # Final rows chosen per (policy, seed), so that the cells and their
+        # seed means hold nan, inf and -0.0.
+        finals = {
+            ("duel", 0): (math.nan, 0.5, -0.0, np.float64(1.0 / 3.0), 0.75),
+            ("duel", 1): (1.0, math.inf, -0.0, 0.25, 0.5),
+            ("fifo", 0): (-0.0, -math.inf, 2.0, 1e-300, np.float64(0.125)),
+            ("fifo", 1): (-0.0, 1.0, -2.0, 3.0, 0.1),
+        }
+
+        def fake_run(cfg, seed, out_dir):
+            ent, v, s, dom, probe = finals[cfg.memory.policy, seed]
+            final = MetricsRow(6, 0.0, 0.0, ent, v, s, 0.0, dom, probe)
+            return RunResult(seed, out_dir, [final], final)
+
+        monkeypatch.setattr(harness_module, "run_experiment", fake_run)
+        rows = bench_policies(
+            parse_config(tiny_config_dict()), ["duel", "fifo"], out_dir=str(tmp_path)
+        )
+        assert [r["seed"] for r in rows] == [0, 1, "mean", 0, 1, "mean"]
+        # The former writer: csv.writer over the cells, floats through repr.
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(BENCH_FIELDS)
+        for row in rows:
+            writer.writerow(
+                [row["policy"], row["seed"]]
+                + [repr(float(row[k])) for k in BENCH_FIELDS[2:]]
+            )
+        data = (tmp_path / "bench.csv").read_bytes()
+        assert data == ref.getvalue().encode()
+        assert data.count(b"\r\n") == len(rows) + 1
+        assert b"\r\nduel,mean,nan,inf,0.0," in data
+        assert b"\r\nfifo,0,-0.0,-inf,2.0," in data
 
 
 class TestExportEmbeddings:

@@ -656,6 +656,59 @@ class TestSettle:
         assert np.array_equal(fast.embeddings, slow.embeddings)
         assert _settled(events, k) == list(range(b - 1))
 
+    # Run lengths on and around every block boundary. Blocks start after three
+    # settled rows and are as long as the run so far (3, 6, 12, 24, then 32
+    # at most), so runs of 3, 6, 12, 24, 48 and 80 rows end on a block's last
+    # row; the lengths at powers of two and one beside them end inside one.
+    RUNS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25)
+    RUNS += (31, 33, 47, 48, 49, 63, 79, 80, 81)
+
+    @pytest.mark.parametrize(
+        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
+    )
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    @pytest.mark.parametrize("run", RUNS)
+    def test_settle_run_across_block_boundaries(self, run, where, kernel):
+        members, hub, far = _hub(z=16)
+        hubs = [hub] * run
+        # Far rows are kept; at the end the run is closed by the batch's last
+        # row, a hub copy that is kept because no replacement follows it.
+        batch, first = {
+            "start": (hubs + [far[0], far[1]], 0),
+            "middle": ([far[0]] + hubs + [far[1], far[2]], 1),
+            "end": ([far[0], far[1]] + hubs + [hub], 2),
+        }[where]
+        _, events = _push_matches_naive(members, np.array(batch), kernel)
+        assert _settled(events, members.shape[0]) == list(range(first, first + run))
+
+    @pytest.mark.parametrize(
+        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
+    )
+    def test_settle_runs_restart_after_kept_rows(self, kernel):
+        # Every run length in one batch, each closed by a distinct far row and
+        # the last by the batch's end, so the block size restarts each time.
+        members, hub, far = _hub(z=len(self.RUNS) + 1)
+        batch, settled = [], []
+        for n, run in enumerate(self.RUNS):
+            if n:
+                batch.append(far[n - 1])
+            settled += range(len(batch), len(batch) + run)
+            batch += [hub] * run
+        batch.append(hub)
+        _, events = _push_matches_naive(members, np.array(batch), kernel)
+        assert _settled(events, members.shape[0]) == settled
+
+    @pytest.mark.parametrize("width", [320, 4160])
+    def test_vecdot_rows_equal_row_dot_products(self, width):
+        # A block takes its rows' masked sums from one np.vecdot; the
+        # row-at-a-time offer takes each as t @ sel. The block keeps the
+        # cached bytes only while the two agree bit for bit.
+        rng = np.random.default_rng(40)
+        T = rng.uniform(0.0, 1.0, size=(64, width))
+        sel = (rng.random(width) < 0.8).astype(np.float64)
+        own = np.vecdot(T, sel)
+        assert all(own[r] == T[r] @ sel for r in range(T.shape[0]))
+
     def test_most_rows_settle_on_a_dominant_stream(self):
         k, b, pushes = 256, 64, 200
         rng = np.random.default_rng(37)
@@ -888,6 +941,18 @@ class TestSampling:
         mem = ActiveMemory(4, 3, AffineCosine())
         with pytest.raises(ValueError):
             mem.sample_negatives(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_draws_are_copies_of_the_drawn_rows(self, n):
+        rng = np.random.default_rng(17)
+        mem = ActiveMemory.from_arrays(_unit(rng, 8, 4))
+        store = mem.embeddings
+        idx = np.random.default_rng(3).choice(8, size=n, replace=n > 8)
+        neg = mem.sample_negatives(n, np.random.default_rng(3))
+        assert np.array_equal(neg, store[idx])
+        assert not np.shares_memory(neg, mem._emb)
+        neg[:] = 0.0
+        assert np.array_equal(mem.embeddings, store)
 
 
 class TestPersistence:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -17,6 +19,7 @@ from duelmem.metrics import (
     inter_class_similarity,
     intra_class_variance,
     linear_probe,
+    write_metrics_csv,
 )
 
 
@@ -196,3 +199,27 @@ class TestMetricsRow:
             probe_acc=0.875,
         )
         assert row.as_csv()[-1] == "0.875"
+
+    def test_file_bytes_match_csv_writer(self, tmp_path):
+        odd = [math.nan, math.inf, -math.inf, -0.0, np.float64(-0.0), 1.0 / 3.0, 5e-324]
+        rows = [
+            MetricsRow(0, *odd),  # probe_acc None: an empty last cell
+            MetricsRow(50, *odd[::-1], probe_acc=np.float64(0.875)),
+            MetricsRow(100, *odd[1:], 0.5, probe_acc=math.nan),
+        ]
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(path, rows)
+        # The former writer: csv.writer over the cells, floats through repr.
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(METRICS_FIELDS)
+        for row in rows:
+            writer.writerow(
+                [row.step]
+                + [repr(float(getattr(row, f))) for f in METRICS_FIELDS[1:-1]]
+                + ["" if row.probe_acc is None else repr(float(row.probe_acc))]
+            )
+        data = path.read_bytes()
+        assert data == ref.getvalue().encode()
+        assert data.count(b"\r\n") == len(rows) + 1
+        assert data.splitlines()[1].endswith(b",")
