@@ -37,14 +37,8 @@ from .memory import (
     POLICIES,
     ActiveMemory,
     EvictionEvent,
-    MemoryEntry,
     PushResult,
-    duel_update_incremental,
-    duel_update_naive,
-    fifo_update,
     guarded_update,
-    random_update,
-    reservoir_update,
 )
 from .metrics import (
     MetricsRow,
@@ -116,7 +110,6 @@ __all__ = [
     "LongTail",
     "MAX_SCORE",
     "MemoryConfig",
-    "MemoryEntry",
     "MetricsRow",
     "POLICIES",
     "ProbeConfig",
@@ -136,10 +129,7 @@ __all__ = [
     "default_config_dict",
     "distinctiveness_information",
     "dominant_fraction",
-    "duel_update_incremental",
-    "duel_update_naive",
     "export_embeddings",
-    "fifo_update",
     "guarded_update",
     "hebbian_information",
     "hml_loss",
@@ -161,8 +151,6 @@ __all__ = [
     "oracle_embedding_stream",
     "pair_scores",
     "parse_config",
-    "random_update",
-    "reservoir_update",
     "run_experiment",
     "save_checkpoint",
     "self_scores",

@@ -48,8 +48,8 @@ entries into a memory of k follows a selection-mask scheme over the pool
 That costs O(b (k+b) z) per call instead of O((k+b)^2 z), and the Python
 loop does its victim bookkeeping per kept row only. Elements inserted
 earlier in the same call are eviction candidates for later elements.
-`duel_naive` replays the same candidate pool but recomputes every score from
-the full pool matrix per replacement; both paths must produce identical
+verify.NaiveDuel replays the same candidate pool but recomputes every score
+from the full pool matrix per replacement; both must produce identical
 eviction logs.
 
 Drift. The per-call changes to the live scores accumulate in a zero-based
@@ -61,16 +61,16 @@ than _DRIFT_TOL, the live scores are recomputed exactly before the choice is
 made. Settled rows never touch the zero-based array, so they add no rounding.
 
 Appends below capacity extend the cache: held rows gain their sums against
-the appended rows, which get theirs exactly. The baseline policies (fifo,
-random, reservoir) read no scores, so their pushes only overwrite slots and
-mark the cache stale. Every reader of the cache (scores, snapshot_csv,
-state_dict, duel_select_by_score and a DUEL push, since the *_update
-wrappers may mix policies) first recomputes a stale cache from scratch,
-_ROW_BLOCK rows at a time. mean_distinctiveness over the memory's own
-entries makes that same recompute whatever the cache holds, and keeps it as
-the cache when the cache is stale, so the next reader finds it fresh. A
-memory goes stale only once it is full, and stays full, so appends never
-meet a stale cache.
+the appended rows, which get theirs exactly. A memory's policy is fixed when
+it is built. The baseline policies (fifo, random, reservoir) read no scores,
+so their pushes only overwrite slots and mark the cache stale; a DUEL memory
+never goes stale, so its pushes read the cache as it is. Every other reader
+of the cache (scores, snapshot_csv, state_dict, duel_select_by_score) first
+recomputes a stale cache from scratch, _ROW_BLOCK rows at a time.
+mean_distinctiveness over the memory's own entries makes that same recompute
+whatever the cache holds, and keeps it as the cache when the cache is stale,
+so the next reader finds it fresh. A memory goes stale only once it is full,
+and stays full, so appends never meet a stale cache.
 
 Eviction-log coordinates: a push returns one PushResult, whose victims
 array holds, per accepted item, the displaced entry's index. DUEL reports
@@ -86,8 +86,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .information import FiniteDistribution
-from .kernels import AffineCosine, Kernel, LabelOracle, pair_scores, self_scores
+from .kernels import AffineCosine, Kernel, LabelOracle, pair_scores
+# Unused here, but the benchmark's tracer patches memory.self_scores by name.
+from .kernels import self_scores  # noqa: F401
 from .streams import csv_row
 
 __all__ = [
@@ -95,20 +96,14 @@ __all__ = [
     "POLICIES",
     "ActiveMemory",
     "EvictionEvent",
-    "MemoryEntry",
     "PushResult",
-    "duel_update_incremental",
-    "duel_update_naive",
-    "fifo_update",
-    "random_update",
-    "reservoir_update",
     "guarded_update",
 ]
 
 # Score credited to a freshly inserted row for its self pair, q(i, i) = 1.
 MAX_SCORE = 1.0
 
-POLICIES = ("duel", "duel_naive", "fifo", "random", "reservoir")
+POLICIES = ("duel", "fifo", "random", "reservoir")
 
 UNLABELED = -1
 
@@ -135,13 +130,6 @@ _SETTLE_BLOCK = 32
 def _tied_argmax(values: np.ndarray) -> int:
     """Lowest index among entries within _TIE_TOL of the maximum."""
     return int(np.flatnonzero(values >= values.max() - _TIE_TOL)[0])
-
-
-@dataclass(frozen=True)
-class MemoryEntry:
-    embedding: np.ndarray
-    hidden_label: int | None
-    insert_step: int
 
 
 @dataclass(frozen=True)
@@ -192,7 +180,8 @@ class PushResult:
 
 
 class ActiveMemory:
-    """Fixed-capacity store of unit embeddings under an eviction policy.
+    """Fixed-capacity store of unit embeddings under one eviction policy,
+    fixed at construction.
 
     Labels ride along for diagnostics only; no policy reads them unless the
     kernel itself is a LabelOracle (a test fixture).
@@ -215,7 +204,10 @@ class ActiveMemory:
         self.capacity = int(capacity)
         self.dim = int(dim)
         self.kernel = kernel if kernel is not None else AffineCosine()
-        self.policy = policy
+        self._policy = policy
+        # The policy's replacement path, unbound, so the memory holds no
+        # reference to itself.
+        self._replace = _PUSH[policy]
         self.rng = np.random.default_rng(seed)
         self._emb = np.zeros((capacity, dim))
         self._labels = np.full(capacity, UNLABELED, dtype=np.int64)
@@ -248,6 +240,10 @@ class ActiveMemory:
     # -- views ------------------------------------------------------------
 
     @property
+    def policy(self) -> str:
+        return self._policy
+
+    @property
     def size(self) -> int:
         return self._count
 
@@ -272,21 +268,6 @@ class ActiveMemory:
         """Cached duplication-score row sums, self pair included."""
         self._fresh()
         return self._scores[: self._count].copy()
-
-    def entries(self) -> list[MemoryEntry]:
-        return [
-            MemoryEntry(
-                self._emb[i].copy(),
-                None if self._labels[i] == UNLABELED else int(self._labels[i]),
-                int(self._steps[i]),
-            )
-            for i in range(self._count)
-        ]
-
-    def as_distribution(self) -> FiniteDistribution:
-        if self._count == 0:
-            raise ValueError("memory is empty")
-        return FiniteDistribution.uniform(self.embeddings, self.labels)
 
     # -- scores -----------------------------------------------------------
 
@@ -358,11 +339,6 @@ class ActiveMemory:
 
         Returns the accepted items, in offer order, as one PushResult.
         """
-        return self._push(self.policy, embeddings, labels)
-
-    def _push(
-        self, policy: str, embeddings: np.ndarray, labels: np.ndarray | None
-    ) -> PushResult:
         X = np.asarray(embeddings, dtype=np.float64)
         if X.ndim == 1:
             X = X[None, :]
@@ -388,7 +364,7 @@ class ActiveMemory:
             self._append(X[:m], lab[:m])
         if m == X.shape[0]:
             return PushResult(np.full(m, -1), appended)
-        rest = _PUSH[policy](self, X[m:], lab[m:])
+        rest = self._replace(self, X[m:], lab[m:])
         if m == 0:
             return rest
         return PushResult(
@@ -413,30 +389,15 @@ class ActiveMemory:
         self._scores[:c0] += self._row_sums(E[:c0], E[c0:], held, new)
         self._scores[c0:c1] = self._row_sums(E[c0:], E, new, kl)
 
-    def _combined(self, X: np.ndarray, lab: np.ndarray):
-        """The pool and its full (k+b) x (k+b) score matrix, for duel_naive."""
-        k, b = self._count, X.shape[0]
-        emb = np.vstack([self._emb[:k], X])
-        labels = np.concatenate([self._labels[:k], lab])
-        ids = np.concatenate(
-            [self._steps[:k], self._seen + np.arange(b, dtype=np.int64)]
-        )
-        S = self_scores(emb, self.kernel, self._kernel_labels(labels))
-        return k, b, emb, labels, ids, S
-
-    def _compact(self, selection, emb, labels, ids, live_scores=None) -> None:
+    def _compact(self, selection, emb, labels, ids, live_scores) -> None:
         keep = np.flatnonzero(selection)
         self._count = keep.size
         self._emb[: self._count] = emb[keep]
         self._labels[: self._count] = labels[keep]
         self._steps[: self._count] = ids[keep]
-        if live_scores is None:
-            self._refresh_scores()
-        else:
-            self._scores[: self._count] = live_scores[keep]
+        self._scores[: self._count] = live_scores[keep]
 
     def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
-        self._fresh()
         k, b = self._count, X.shape[0]
         pool = np.vstack([self._emb[:k], X])
         labels = np.concatenate([self._labels[:k], lab])
@@ -537,22 +498,6 @@ class ActiveMemory:
             run, i = 0, i + 1
         self._compact(sel, pool, labels, ids, live_scores=base + delta)
         self._seen += b
-        return PushResult(victims, ids[k:])
-
-    def _push_duel_naive(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
-        """Reference DUEL path: full score recomputation per replacement."""
-        k, b, emb, labels, ids, S = self._combined(X, lab)
-        selection = np.concatenate([np.ones(k, dtype=bool), np.zeros(b, dtype=bool)])
-        victims = []
-        for i in range(k, k + b):
-            sel = np.flatnonzero(selection)
-            sums = S[np.ix_(sel, sel)].sum(axis=1)
-            j = int(sel[_tied_argmax(sums)])
-            selection[j] = False
-            selection[i] = True
-            victims.append(j)
-        self._seen += b
-        self._compact(selection, emb, labels, ids)
         return PushResult(victims, ids[k:])
 
     def _push_fifo(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
@@ -732,46 +677,10 @@ class ActiveMemory:
 # others once the memory is full.
 _PUSH = {
     "duel": ActiveMemory._push_duel,
-    "duel_naive": ActiveMemory._push_duel_naive,
     "fifo": ActiveMemory._push_fifo,
     "random": ActiveMemory._push_random,
     "reservoir": ActiveMemory._push_reservoir,
 }
-
-
-def duel_update_incremental(
-    mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> PushResult:
-    """One batched DUEL update via the incremental masked-score path."""
-    return mem._push("duel", embeddings, labels)
-
-
-def duel_update_naive(
-    mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> PushResult:
-    """One batched DUEL update via the full-recompute reference path."""
-    return mem._push("duel_naive", embeddings, labels)
-
-
-def fifo_update(
-    mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> PushResult:
-    """Replace the oldest entries with the batch."""
-    return mem._push("fifo", embeddings, labels)
-
-
-def random_update(
-    mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> PushResult:
-    """Replace uniformly random entries with the batch (memory's own rng)."""
-    return mem._push("random", embeddings, labels)
-
-
-def reservoir_update(
-    mem: ActiveMemory, embeddings: np.ndarray, labels: np.ndarray | None = None
-) -> PushResult:
-    """Reservoir-sample the batch: keep each item w.p. capacity/seen."""
-    return mem._push("reservoir", embeddings, labels)
 
 
 def guarded_update(

@@ -313,8 +313,12 @@ def load_embedding_stream(path) -> tuple[list, np.ndarray, np.ndarray]:
                     "renormalizing",
                     stacklevel=2,
                 )
+            try:
+                label = int(row[1]) if row[1] != "" else -1
+            except ValueError:
+                raise ValueError(f"{path}: line {line_no}: non-integer label {row[1]!r}")
             ids.append(row[0])
-            labels.append(int(row[1]) if row[1] != "" else -1)
+            labels.append(label)
             rows.append(vec / norm)
     if rows:
         emb = np.vstack(rows)

@@ -27,6 +27,7 @@ from duelmem.information import (
 )
 from duelmem.kernels import AffineCosine, ExponentialTemp, LabelOracle, normalize
 from duelmem.memory import ActiveMemory
+from duelmem.verify import NaiveDuel
 from duelmem.streams import oracle_embedding_stream
 from duelmem.trainer import (
     NEGATIVE_SOURCES,
@@ -221,9 +222,7 @@ def test_a03_incremental_matches_naive_eviction_log():
             base[7] = base[3]  # resident twins
         labels = rng.integers(0, 6, 64)
         fast = ActiveMemory.from_arrays(base, labels, kernel=kernel, policy="duel")
-        slow = ActiveMemory.from_arrays(
-            base, labels, kernel=kernel, policy="duel_naive"
-        )
+        slow = NaiveDuel(base, labels, kernel=kernel)
         batch = _unit(rng, 8, 16)
         if trial % 3 == 0:
             batch[4] = base[11]  # twin spanning the memory/batch boundary

@@ -161,10 +161,11 @@ class TestParseConfig:
             parse_config(raw)
 
     def test_unknown_policy(self):
-        raw = tiny_config_dict()
-        raw["memory"]["policy"] = "lru"
-        with pytest.raises(ConfigError, match="policy"):
-            parse_config(raw)
+        for policy in ("lru", "duel_naive"):
+            raw = tiny_config_dict()
+            raw["memory"]["policy"] = policy
+            with pytest.raises(ConfigError, match="policy"):
+                parse_config(raw)
 
     def test_bad_imbalance_kind(self):
         raw = tiny_config_dict()
@@ -280,7 +281,7 @@ class TestRunExperiment:
         assert a.rows[0].loss != b.rows[0].loss
 
     def test_all_policies_run(self, tmp_path):
-        for policy in ("duel", "duel_naive", "fifo", "random", "reservoir"):
+        for policy in ("duel", "fifo", "random", "reservoir"):
             raw = tiny_config_dict()
             raw["memory"]["policy"] = policy
             result = run_experiment(
@@ -325,8 +326,9 @@ class TestBenchPolicies:
 
     def test_unknown_policy_rejected(self, tmp_path):
         cfg = parse_config(tiny_config_dict())
-        with pytest.raises(ConfigError, match="lru"):
-            bench_policies(cfg, ["lru"], out_dir=str(tmp_path))
+        for policy in ("lru", "duel_naive"):
+            with pytest.raises(ConfigError, match=policy):
+                bench_policies(cfg, [policy], out_dir=str(tmp_path))
 
     def test_file_bytes_match_csv_writer(self, tmp_path, monkeypatch):
         # Final rows chosen per (policy, seed), so that the cells and their
@@ -445,11 +447,12 @@ class TestCli:
 
     def test_unknown_bench_policy_returns_usage_error(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
-        code = main(
-            ["bench-policies", "--config", cfg_path, "--policies", "duel,lru"]
-        )
-        assert code == 1
-        assert "lru" in capsys.readouterr().err
+        for policy in ("lru", "duel_naive"):
+            code = main(
+                ["bench-policies", "--config", cfg_path, "--policies", f"duel,{policy}"]
+            )
+            assert code == 1
+            assert policy in capsys.readouterr().err
 
     def test_missing_required_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

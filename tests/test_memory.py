@@ -15,17 +15,8 @@ from duelmem.kernels import (
     normalize,
     pair_scores,
 )
-from duelmem.memory import (
-    ActiveMemory,
-    EvictionEvent,
-    duel_update_incremental,
-    duel_update_naive,
-    fifo_update,
-    guarded_update,
-    random_update,
-    reservoir_update,
-)
-from duelmem.verify import check_cache_coherence, check_incremental_matches_naive
+from duelmem.memory import ActiveMemory, EvictionEvent, guarded_update
+from duelmem.verify import NaiveDuel, check_cache_coherence, check_incremental_matches_naive
 
 E1, E2, E3 = np.eye(3)
 
@@ -176,8 +167,16 @@ class TestValidation:
             mem.push_batch(E1[None, :])
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            ActiveMemory(4, 3, AffineCosine(), policy="lru")
+        # The naive DUEL oracle lives in verify, not among the policies.
+        for policy in ("lru", "duel_naive"):
+            with pytest.raises(ValueError, match=policy):
+                ActiveMemory(4, 3, AffineCosine(), policy=policy)
+
+    def test_policy_is_fixed_at_construction(self):
+        mem = ActiveMemory(4, 3, AffineCosine(), policy="fifo")
+        with pytest.raises(AttributeError):
+            mem.policy = "duel"
+        assert mem.policy == "fifo"
 
     def test_from_arrays_rejects_zero_capacity(self):
         with pytest.raises(ValueError, match="capacity must be >= 1"):
@@ -198,9 +197,7 @@ class TestIncrementalNaiveEquivalence:
                 batch[1] = batch[0]
                 batch[4] = emb[7]
             fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel)
-            slow = ActiveMemory.from_arrays(
-                emb, labels, kernel=kernel, policy="duel_naive"
-            )
+            slow = NaiveDuel(emb, labels, kernel=kernel)
             ev_fast = fast.push_batch(batch, rng.integers(0, 5, size=6))
             slow_labels = slow.push_batch(batch, np.zeros(6, dtype=int))
             assert [e.evicted for e in ev_fast] == [
@@ -221,7 +218,7 @@ class TestIncrementalNaiveEquivalence:
             batch[3] = batch[0]
             batch[7] = emb[2]
             fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel)
-            slow = ActiveMemory.from_arrays(emb, labels, kernel=kernel, policy="duel_naive")
+            slow = NaiveDuel(emb, labels, kernel=kernel)
             assert fast.push_batch(batch, batch_labels) == slow.push_batch(
                 batch, batch_labels
             ), f"trial {trial}"
@@ -243,30 +240,17 @@ class TestIncrementalNaiveEquivalence:
         emb = _unit(rng, 12, 6)
         flood = np.tile(normalize(rng.normal(size=6)), (12, 1))
         fast = ActiveMemory.from_arrays(emb, np.zeros(12, int))
-        slow = ActiveMemory.from_arrays(
-            emb, np.zeros(12, int), policy="duel_naive"
-        )
+        slow = NaiveDuel(emb, np.zeros(12, int))
         ev_fast = fast.push_batch(flood, np.ones(12, dtype=int))
         ev_slow = slow.push_batch(flood, np.ones(12, dtype=int))
         assert ev_fast == ev_slow
         assert np.array_equal(fast.embeddings, slow.embeddings)
 
-    def test_named_wrappers_dispatch_by_name(self):
-        rng = np.random.default_rng(5)
-        emb = _unit(rng, 8, 4)
-        batch = _unit(rng, 2, 4)
-        a = ActiveMemory.from_arrays(emb, np.zeros(8, int), policy="fifo")
-        b = ActiveMemory.from_arrays(emb, np.zeros(8, int), policy="fifo")
-        ev_a = duel_update_incremental(a, batch)
-        ev_b = duel_update_naive(b, batch)
-        assert [e.evicted for e in ev_a] == [e.evicted for e in ev_b]
-        assert a.policy == "fifo"  # wrapper restores the configured policy
-
 
 class TestScoreCache:
     def test_cache_matches_recompute_after_updates(self):
         rng = np.random.default_rng(6)
-        for policy in ("duel", "duel_naive", "fifo", "random", "reservoir"):
+        for policy in ("duel", "fifo", "random", "reservoir"):
             mem = _filled(rng, 16, 6, policy=policy, seed=11)
             for _ in range(4):
                 mem.push_batch(_unit(rng, 3, 6), rng.integers(0, 5, size=3))
@@ -335,7 +319,7 @@ class TestLongHorizon:
         rng = np.random.default_rng(30)
         emb, labels = _clustered(rng, 48, 6)
         fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel)
-        slow = ActiveMemory.from_arrays(emb, labels, kernel=kernel, policy="duel_naive")
+        slow = NaiveDuel(emb, labels, kernel=kernel)
         for push in range(60):
             batch, batch_labels = _clustered(rng, 6, 6)
             batch[1] = batch[0]
@@ -413,41 +397,16 @@ class TestLazyBaselineScores:
         monkeypatch.undo()
         assert _drift(mem) <= 1e-9
 
-    @pytest.mark.parametrize(
-        "update", [fifo_update, random_update, reservoir_update],
-        ids=["fifo", "random", "reservoir"],
-    )
-    def test_duel_update_after_baseline_pushes_matches_naive(self, update):
-        rng = np.random.default_rng(41)
-        emb, labels = _clustered(rng, 64, 6)
-        mem = ActiveMemory.from_arrays(emb, labels, kernel=ExponentialTemp(tau=0.5))
-        for _ in range(5):
-            batch, batch_labels = _clustered(rng, 16, 6)
-            update(mem, batch, batch_labels)
-        twin = copy.deepcopy(mem)
-        for _ in range(3):
-            batch, batch_labels = _clustered(rng, 16, 6)
-            events = duel_update_incremental(mem, batch, batch_labels)
-            assert events == duel_update_naive(twin, batch, batch_labels)
-        assert np.array_equal(mem.embeddings, twin.embeddings)
-        assert np.array_equal(mem.insert_steps, twin.insert_steps)
-        assert _drift(mem) <= 1e-9
-
     def test_duel_update_reads_a_stale_cache_the_drift_guard_misses(self):
-        # Two fifo pushes turn the oldest class-3 rows into class 1. Every
+        # A fifo push of two rows turns the class-3 rows into class 1. Every
         # class-0 row keeps its row sum of 3 and now holds the largest stale
-        # sum, but the class-1 rows sum to 4. A DUEL victim chosen from the
-        # stale cache is a class-0 row whose probe reads exact, so only a
-        # fresh read evicts a class-1 row.
+        # sum, but the class-1 rows sum to 4. A selection read from the stale
+        # cache is a class-0 row, so only a fresh read picks a class-1 row.
         labels = np.array([3, 3, 0, 0, 0, 1, 1, 2])
         eye = np.eye(8)
         mem = ActiveMemory.from_arrays(eye, labels, kernel=LabelOracle(), policy="fifo")
-        fifo_update(mem, eye[:2], np.array([1, 1]))
-        twin = copy.deepcopy(mem)
-        assert twin.duel_select_by_score() == twin.duel_select_naive() == 0
-        events = duel_update_incremental(mem, eye[7:], np.array([2]))
-        assert events == duel_update_naive(twin, eye[7:], np.array([2]))
-        assert events.victims.tolist() == [0]
+        mem.push_batch(eye[:2], np.array([1, 1]))
+        assert mem.duel_select_by_score() == mem.duel_select_naive() == 0
 
     def _stale(self):
         rng = np.random.default_rng(42)
@@ -573,7 +532,7 @@ def _push_matches_naive(emb, batch, kernel=None):
     assert equal logs and contents and return the incremental memory and log."""
     kernel = kernel or AffineCosine()
     fast = ActiveMemory.from_arrays(emb, kernel=kernel)
-    slow = ActiveMemory.from_arrays(emb, kernel=kernel, policy="duel_naive")
+    slow = NaiveDuel(emb, kernel=kernel)
     events = fast.push_batch(batch)
     assert events == slow.push_batch(batch)
     assert np.array_equal(fast.embeddings, slow.embeddings)
@@ -584,7 +543,7 @@ def _push_matches_naive(emb, batch, kernel=None):
 
 class TestSettle:
     """A row the next replacement would evict is settled: logged as the next
-    victim without touching the live scores. Every case replays duel_naive."""
+    victim without touching the live scores. Every case replays NaiveDuel."""
 
     @pytest.mark.parametrize(
         "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
@@ -640,7 +599,7 @@ class TestSettle:
         k, b = members.shape[0], 5
         batch = np.tile(row, (b, 1))
         fast = ActiveMemory.from_arrays(members)
-        slow = ActiveMemory.from_arrays(members, policy="duel_naive")
+        slow = NaiveDuel(members)
         calls = []
         row_sums = ActiveMemory._row_sums
 
@@ -714,7 +673,7 @@ class TestSettle:
         rng = np.random.default_rng(37)
         X, labels = _clustered(rng, k + pushes * b, 16)
         fast = ActiveMemory.from_arrays(X[:k], labels[:k])
-        slow = ActiveMemory.from_arrays(X[:k], labels[:k], policy="duel_naive")
+        slow = NaiveDuel(X[:k], labels[:k])
         settled = 0
         for p in range(pushes):
             batch = X[k + p * b : k + (p + 1) * b]
@@ -734,7 +693,7 @@ class TestDriftGuard:
         rng = np.random.default_rng(35)
         emb, labels = _clustered(rng, 32, 6)
         fast = ActiveMemory.from_arrays(emb, labels)
-        slow = ActiveMemory.from_arrays(emb, labels, policy="duel_naive")
+        slow = NaiveDuel(emb, labels)
         return fast, slow, _unit(rng, 4, 6)
 
     def _perturb(self, mem) -> int:
@@ -767,7 +726,7 @@ class TestDriftGuard:
 class TestBaselinePolicies:
     def test_fifo_evicts_oldest(self):
         mem = ActiveMemory.from_arrays(np.eye(3), np.arange(3), policy="fifo")
-        events = fifo_update(mem, normalize(np.ones(3))[None, :], np.array([3]))
+        events = mem.push_batch(normalize(np.ones(3))[None, :], np.array([3]))
         assert events[0].evicted == 0
         assert int(mem.insert_steps.min()) == 1
 

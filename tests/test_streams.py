@@ -278,6 +278,13 @@ class TestEmbeddingCsv:
         with pytest.raises(ValueError, match="line 2"):
             load_embedding_stream(path)
 
+    @pytest.mark.parametrize("cell", ["x", "1.5"])
+    def test_non_integer_label_names_line(self, tmp_path, cell):
+        path = tmp_path / "stream.csv"
+        self._write(path, ["id,label,v_0,v_1", "0,0,1.0,0.0", f"1,{cell},0.0,1.0"])
+        with pytest.raises(ValueError, match=f"line 3: non-integer label '{cell}'"):
+            load_embedding_stream(path)
+
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "stream.csv"
         self._write(path, ["id,label,v_0,v_1", "0,0,inf,0.0"])

@@ -372,6 +372,8 @@ CHECKPOINT_FAULTS = {
     "steps_length": (_truncate("mem.steps"), "steps"),
     "scores_length": (_truncate("mem.scores"), "scores"),
     "count_above_capacity": (_set_memory_meta(count=9), "count"),
+    # The naive DUEL oracle is no policy a memory can be built with.
+    "policy_duel_naive": (_set_memory_meta(policy="duel_naive"), "duel_naive"),
     "count_negative": (_set_memory_meta(count=-1), "count"),
     "seen_below_count": (_set_memory_meta(seen=7), "seen"),
     "non_finite_entry": (_nan_row, "emb"),
