@@ -98,10 +98,6 @@ class MemoryConfig:
                 "fixture, not a runnable config"
             )
 
-    def make_kernel(self) -> Kernel:
-        """The kernel the run's memory scores with."""
-        return self.kernel
-
 
 @dataclass
 class ExperimentConfig:

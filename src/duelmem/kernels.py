@@ -7,7 +7,7 @@ latent class.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -108,6 +108,9 @@ def kernel_from_dict(d: dict) -> Kernel:
     form = params.pop("form", None)
     if form not in KERNEL_FORMS:
         raise ValueError(f"unknown kernel form {form!r}")
+    odd = sorted(set(params) ^ {f.name for f in fields(KERNEL_FORMS[form])})
+    if odd:
+        raise ValueError(f"kernel {form!r}: unknown or missing fields {odd}")
     return KERNEL_FORMS[form](**params)
 
 

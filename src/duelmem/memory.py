@@ -319,17 +319,6 @@ class ActiveMemory:
         self._fresh()
         return _tied_argmax(self._scores[: self._count])
 
-    def duel_select_naive(self) -> int:
-        """Same selection via per-entry distinctiveness, computed fresh.
-
-        argmin of -log(mean q) is argmax of the row sums, so this is the
-        argmax of recomputed_scores; ties group on the row-sum scale so the
-        two paths agree bitwise.
-        """
-        if self._count == 0:
-            raise ValueError("memory is empty")
-        return _tied_argmax(self.recomputed_scores())
-
     # -- updates ----------------------------------------------------------
 
     def push_batch(

@@ -10,13 +10,14 @@ denominator:
 Negatives come from the batch (the other anchors), from the memory
 (stop-gradient constants), or both. All gradients are closed-form,
 including the unit-sphere projection Jacobian (I - z z^T)/|u|, and are
-validated against central finite differences in the test suite.
+validated against central finite differences by `duelmem verify`.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -522,13 +523,40 @@ def _load_params(data, prefix: str, template: FeatureExtractor) -> dict:
     return params
 
 
+class _Meta(dict):
+    """A JSON object of checkpoint metadata; a missing field is a ValueError."""
+
+    def __missing__(self, key):
+        raise ValueError(f"checkpoint meta: missing field {key!r}")
+
+
+def _trainer_config(raw) -> TrainerConfig:
+    """meta.trainer as a TrainerConfig, refusing a bad field by name."""
+    if not isinstance(raw, dict):
+        raise ValueError("meta.trainer: expected an object")
+    hints = typing.get_type_hints(TrainerConfig)
+    odd = sorted(set(raw) ^ set(hints))
+    if odd:
+        raise ValueError(f"meta.trainer: unknown or missing fields {odd}")
+    for name, hint in hints.items():
+        value, kinds = raw[name], typing.get_args(hint) or (hint,)
+        kinds += (int,) if float in kinds else ()
+        if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
+            raise ValueError(f"meta.trainer.{name}: expected {hint}, got {value!r}")
+    return TrainerConfig(**raw)
+
+
 def load_checkpoint(path) -> tuple[TrainState, dict | None]:
+    """Read a checkpoint; malformed state raises ValueError naming the field."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
+        meta = json.loads(bytes(data["meta"]).decode(), object_hook=_Meta)
         if meta["version"] != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg = TrainerConfig(**meta["trainer"])
+        cfg = _trainer_config(meta["trainer"])
         arch = meta["arch"]
+        for name in ("d_out", "hidden"):
+            if getattr(cfg, name) != arch[name]:
+                raise ValueError(f"meta.trainer.{name} disagrees with meta.arch.{name}")
         extractor = FeatureExtractor(arch["d_in"], arch["d_out"], arch["hidden"])
         extractor.params = _load_params(data, "q.", extractor)
         key = None

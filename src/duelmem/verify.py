@@ -1,20 +1,20 @@
-"""Self-contained verification suite covering the library's invariants.
+"""Self-contained verification suite: the one home of the library's exact
+invariant checks.
 
 Each check returns (ok, detail). run_all executes every check, prints one
 line per check, and reports overall success. The quick flag shrinks trial
-counts for a fast smoke pass.
+counts for a fast smoke pass; tests/test_verify.py runs every check in full.
 
-NaiveDuel is the reference DUEL memory the incremental path is checked
-against: it recomputes the whole pool's score matrix on every push and
-shares no code with ActiveMemory's DUEL path beyond the kernels and
-PushResult.
+NaiveDuel and naive_select are the reference DUEL update and selection the
+incremental path is checked against: they recompute the whole score matrix
+and keep their own copy of the tie rule, so they share no code with
+ActiveMemory's DUEL path beyond the kernels and PushResult.
 """
 
 from __future__ import annotations
 
 import math
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .information import (
     distinctiveness_information,
     hebbian_information,
     hml_loss,
-    imbalance_lambda,
     mhml_bound,
 )
 from .kernels import (
@@ -39,6 +38,7 @@ from .memory import POLICIES, ActiveMemory, PushResult, guarded_update
 from .metrics import class_entropy, intra_class_variance, linear_probe
 from .streams import StreamConfig, Dominant, GaussianPairStream, longtail_probs, oracle_embedding_stream
 from .trainer import (
+    NEGATIVE_SOURCES,
     FeatureExtractor,
     TrainerConfig,
     TrainState,
@@ -50,7 +50,7 @@ from .trainer import (
     train_step,
 )
 
-__all__ = ["run_all", "CHECKS", "NaiveDuel"]
+__all__ = ["run_all", "CHECKS", "NaiveDuel", "naive_select"]
 
 
 def _random_unit(rng, n, z):
@@ -63,18 +63,21 @@ def _random_kernel(rng):
     return ExponentialTemp(tau=float(rng.uniform(0.2, 2.0)))
 
 
-def _balanced_distribution(rng, n_classes, per_class, z, uniform_weights=False):
+def _within_class(rng, labels, uniform):
+    """Weights summing to 1 within each class: equal, or drawn at random."""
+    within = np.zeros(len(labels))
+    for c in np.unique(labels):
+        mask = labels == c
+        w = np.ones(mask.sum()) if uniform else rng.uniform(0.2, 1.0, size=mask.sum())
+        within[mask] = w / w.sum()
+    return within
+
+
+def _balanced_distribution(rng, n_classes, per_class, z, uniform):
     emb = _random_unit(rng, n_classes * per_class, z)
     labels = np.repeat(np.arange(n_classes), per_class)
-    if uniform_weights:
-        return FiniteDistribution.uniform(emb, labels)
-    weights = np.zeros(len(labels))
-    for c in range(n_classes):
-        mask = labels == c
-        w = rng.uniform(0.2, 1.0, size=mask.sum())
-        weights[mask] = w / w.sum() / n_classes
-    weights = weights / weights.sum()
-    return FiniteDistribution(emb, labels, weights)
+    weights = _within_class(rng, labels, uniform) / n_classes
+    return FiniteDistribution(emb, labels, weights / weights.sum())
 
 
 # -- kernel / information ----------------------------------------------------
@@ -113,14 +116,16 @@ def check_kernel_invariants(quick: bool) -> tuple[bool, str]:
 
 
 def check_balanced_oracle_optimum(quick: bool) -> tuple[bool, str]:
-    """LabelOracle on a balanced distribution attains exactly -log |C|."""
+    """LabelOracle on a balanced distribution attains exactly -log |C|,
+    with equal or unequal weights within each class."""
     rng = np.random.default_rng(12)
     worst = 0.0
     for n_classes in (2, 3, 5, 10):
-        per_class = int(rng.integers(1, 5))
-        dist = _balanced_distribution(rng, n_classes, per_class, 8)
-        loss = hml_loss(dist, LabelOracle())
-        worst = max(worst, abs(loss + math.log(n_classes)))
+        for uniform in (False, True):
+            per_class = int(rng.integers(1, 5))
+            dist = _balanced_distribution(rng, n_classes, per_class, 8, uniform)
+            loss = hml_loss(dist, LabelOracle())
+            worst = max(worst, abs(loss + math.log(n_classes)))
     ok = worst < 1e-9
     return ok, f"max |loss + ln C| = {worst:.2e}"
 
@@ -131,32 +136,30 @@ def check_balanced_lower_bound(quick: bool) -> tuple[bool, str]:
     trials = 50 if quick else 500
     margin = math.inf
     for _ in range(trials):
-        n_classes = int(rng.integers(2, 8))
-        per_class = int(rng.integers(1, 5))
+        n_classes = int(rng.integers(2, 11))
         z = int(rng.integers(2, 10))
-        dist = _balanced_distribution(rng, n_classes, per_class, z)
-        loss = hml_loss(dist, _random_kernel(rng))
-        margin = min(margin, loss + math.log(n_classes))
-        if loss < -math.log(n_classes) - 1e-9:
-            return False, f"bound violated by {loss + math.log(n_classes):.2e}"
-    return True, f"{trials} trials, min margin {margin:.3g}"
+        for uniform in (False, True):
+            per_class = int(rng.integers(1, 5))
+            dist = _balanced_distribution(rng, n_classes, per_class, z, uniform)
+            loss = hml_loss(dist, _random_kernel(rng))
+            margin = min(margin, loss + math.log(n_classes))
+            if loss < -math.log(n_classes) - 1e-9:
+                return False, f"bound violated by {loss + math.log(n_classes):.2e}"
+    return True, f"{2 * trials} sets up to 10 classes, min margin {margin:.3g}"
 
 
 def check_empirical_bound(quick: bool) -> tuple[bool, str]:
-    """mhml_bound dominates hml_loss of the balanced counterpart."""
+    """mhml_bound dominates hml_loss of the balanced counterpart, with equal
+    or unequal weights within each class."""
     rng = np.random.default_rng(14)
     trials = 20 if quick else 100
-    for _ in range(trials):
+    for t in range(2 * trials):
         n_classes = int(rng.integers(2, 6))
         per_class = int(rng.integers(1, 4))
         z = int(rng.integers(3, 8))
         emb = _random_unit(rng, n_classes * per_class, z)
         labels = np.repeat(np.arange(n_classes), per_class)
-        within = np.zeros(len(labels))
-        for c in range(n_classes):
-            mask = labels == c
-            w = rng.uniform(0.2, 1.0, size=mask.sum())
-            within[mask] = w / w.sum()
+        within = _within_class(rng, labels, uniform=bool(t % 2))
         rho = rng.uniform(0.05, 1.0, size=n_classes)
         rho = rho / rho.sum()
         oracle = FiniteDistribution(emb, labels, within / n_classes)
@@ -172,10 +175,15 @@ def check_empirical_bound(quick: bool) -> tuple[bool, str]:
         target = hml_loss(oracle, k)
         if bound < target - 1e-9:
             return False, f"bound {bound:.6f} < loss {target:.6f}"
-    return True, f"{trials} constructed triples"
+    return True, f"{2 * trials} constructed triples"
 
 
 # -- memory -------------------------------------------------------------------
+
+
+def _first_max(sums: np.ndarray) -> int:
+    """The DUEL tie rule: the lowest index within 1e-9 of the maximum."""
+    return int(np.flatnonzero(sums >= sums.max() - 1e-9)[0])
 
 
 def _as_labels(labels, n: int) -> np.ndarray:
@@ -191,9 +199,7 @@ class NaiveDuel:
     "duel" does, and must log the same victims and keep the same entries in
     the same order. Each push builds the (k+b) x (k+b) score matrix of the
     pool [memory; batch] and, per batch element, evicts the selected row with
-    the largest row sum over the selected rows, then selects the element. It
-    keeps its own copy of the tie rule, so a fault in a helper of the fast
-    path cannot hide in the oracle too.
+    the largest row sum over the selected rows, then selects the element.
     """
 
     def __init__(self, emb, labels=None, kernel=None):
@@ -215,9 +221,7 @@ class NaiveDuel:
         victims = []
         for i in range(k, k + b):
             sel = np.flatnonzero(selection)
-            sums = S[np.ix_(sel, sel)].sum(axis=1)
-            # Ties: the lowest index within 1e-9 of the maximum.
-            j = int(sel[np.flatnonzero(sums >= sums.max() - 1e-9)[0]])
+            j = int(sel[_first_max(S[np.ix_(sel, sel)].sum(axis=1))])
             selection[j], selection[i] = False, True
             victims.append(j)
         self.embeddings = pool[selection]
@@ -225,6 +229,13 @@ class NaiveDuel:
         self.insert_steps = ids[selection]
         self._seen += b
         return PushResult(np.array(victims), ids[k:])
+
+
+def naive_select(mem: ActiveMemory) -> int:
+    """The entry `mem` would evict under DUEL, from a full recompute of its
+    score matrix: the largest row sum, lowest index on ties."""
+    E, labels = mem.embeddings, mem.labels
+    return _first_max(pair_scores(E, E, mem.kernel, labels, labels).sum(axis=1))
 
 
 def _random_memory(rng, k, z, kernel=None, policy="duel"):
@@ -236,20 +247,27 @@ def _random_memory(rng, k, z, kernel=None, policy="duel"):
 
 
 def check_selection_equivalence(quick: bool) -> tuple[bool, str]:
-    """duel_select_by_score matches duel_select_naive on random memories."""
+    """duel_select_by_score matches naive_select on random memories.
+
+    Up to two pushes first leave the cached scores with summation noise, and
+    pushing copies of held rows makes ties on them.
+    """
     rng = np.random.default_rng(15)
     trials = 100 if quick else 1000
     for t in range(trials):
         k = int(rng.integers(2, 96))
         z = int(rng.integers(2, 24))
-        mem = _random_memory(rng, k, z)
+        emb = _random_unit(rng, k, z)
         if t % 7 == 0 and k >= 4:
             # Plant exact duplicates so ties exercise the index tie-break.
-            dup = mem.embeddings
-            dup[1] = dup[0]
-            dup[3] = dup[0]
-            mem = ActiveMemory.from_arrays(dup, mem.labels, kernel=mem.kernel)
-        if mem.duel_select_by_score() != mem.duel_select_naive():
+            emb[1] = emb[3] = emb[0]
+        mem = ActiveMemory.from_arrays(emb, kernel=_random_kernel(rng))
+        for _ in range(int(rng.integers(0, 3))):
+            batch = _random_unit(rng, int(rng.integers(1, 5)), z)
+            if t % 5 == 0:
+                batch[0] = mem.embeddings[int(rng.integers(k))]
+            mem.push_batch(batch)
+        if mem.duel_select_by_score() != naive_select(mem):
             return False, f"disagreement at trial {t}"
     return True, f"{trials} random memories"
 
@@ -264,6 +282,10 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
             emb = _random_unit(rng, k, z)
             labels = rng.integers(0, 6, size=k)
             batch = _random_unit(rng, b, z)
+            if t % 3 == 0:
+                emb[7] = emb[3]  # resident twins
+            if t % 4 == 0:
+                batch[4] = emb[11]  # a twin across the memory/batch boundary
             if t % 5 == 0:
                 batch[1] = batch[0]
                 batch[3] = emb[2]
@@ -314,7 +336,7 @@ def check_cache_coherence(quick: bool) -> tuple[bool, str]:
 
     The baselines leave the cache stale, and every reader must recompute it
     first. So before the drift read, which refreshes it, duel_select_by_score
-    must agree with duel_select_naive on each baseline memory. They run under
+    must agree with naive_select on each baseline memory. They run under
     the label oracle, whose row sums are class counts: a selection read from
     stale counts often names another class's row.
     """
@@ -329,7 +351,7 @@ def check_cache_coherence(quick: bool) -> tuple[bool, str]:
             for _ in range(3):
                 nb = int(rng.integers(1, 9))
                 mem.push_batch(_random_unit(rng, nb, z), rng.integers(0, 5, size=nb))
-            if baseline and mem.duel_select_by_score() != mem.duel_select_naive():
+            if baseline and mem.duel_select_by_score() != naive_select(mem):
                 return False, f"{policy}: selection read a stale cache"
             drift = np.max(np.abs(mem.scores - mem.recomputed_scores()))
             if drift > 1e-9:
@@ -354,34 +376,41 @@ def check_label_blindness(quick: bool) -> tuple[bool, str]:
         )
         ev_a = a.push_batch(batch, batch_labels)
         ev_b = b_mem.push_batch(batch, rng.permutation(batch_labels))
-        if [e.evicted for e in ev_a] != [e.evicted for e in ev_b]:
+        if not np.array_equal(ev_a.victims, ev_b.victims):
             return False, "evictions changed under label permutation"
     return True, f"{trials} permutation trials"
 
 
 def check_safeness(quick: bool) -> tuple[bool, str]:
-    """DUEL replacements never lower pre-mixture probe distinctiveness."""
+    """DUEL replacements never lower pre-mixture probe distinctiveness.
+
+    The second stream reads "before" through the default probe, the
+    memory's own entries as mean_distinctiveness() recomputes them.
+    """
     rng = np.random.default_rng(19)
     replacements = 1000 if quick else 10000
-    n_classes, k = 8, 64
-    stream = oracle_embedding_stream(
-        n_classes, rng, probs=Dominant(0.75).probs(n_classes)
+    n_classes = 8
+    streams = (
+        (64, Dominant(0.75).probs(n_classes), False),
+        (32, np.array([0.51] + [0.07] * 7), True),
     )
-    mem = ActiveMemory(k, n_classes, LabelOracle(), policy="duel")
-    while not mem.is_full:
-        e, c = next(stream)
-        mem.push_batch(e[None, :], np.array([c]))
     worst = math.inf
-    for _ in range(replacements):
-        probe_emb, probe_lab = mem.embeddings, mem.labels
-        before = mem.mean_distinctiveness(probe_emb, probe_lab)
-        e, c = next(stream)
-        mem.push_batch(e[None, :], np.array([c]))
-        after = mem.mean_distinctiveness(probe_emb, probe_lab)
-        worst = min(worst, after - before)
-        if after < before - 1e-12:
-            return False, f"distinctiveness dropped by {before - after:.3e}"
-    return True, f"{replacements} replacements, min delta {worst:.3e}"
+    for k, probs, default_probe in streams:
+        stream = oracle_embedding_stream(n_classes, rng, probs=probs)
+        mem = ActiveMemory(k, n_classes, LabelOracle(), policy="duel")
+        while not mem.is_full:
+            e, c = next(stream)
+            mem.push_batch(e[None, :], np.array([c]))
+        for _ in range(replacements):
+            probe = mem.embeddings, mem.labels
+            before = mem.mean_distinctiveness(*() if default_probe else probe)
+            e, c = next(stream)
+            mem.push_batch(e[None, :], np.array([c]))
+            after = mem.mean_distinctiveness(*probe)
+            worst = min(worst, after - before)
+            if after < before - 1e-12:
+                return False, f"capacity {k}: distinctiveness dropped by {before - after:.3e}"
+    return True, f"{replacements} replacements on each of 2 streams, min delta {worst:.3e}"
 
 
 def check_guarded_update(quick: bool) -> tuple[bool, str]:
@@ -464,13 +493,12 @@ def check_infonce_identity(quick: bool) -> tuple[bool, str]:
     return True, f"{trials} instances, max gap {worst:.2e}"
 
 
-def _gradient_case(rng, hidden, source, epsilon):
+def _gradient_case(rng, hidden, source, epsilon, momentum_mode):
     d_in = int(rng.integers(2, 6))
     d_out = int(rng.integers(2, 5))
     b = int(rng.integers(2, 5))
     n_mem = int(rng.integers(1, 6))
     tau = float(rng.uniform(0.3, 1.5))
-    momentum_mode = bool(rng.integers(0, 2))
     cfg = TrainerConfig(
         batch_size=b,
         tau=tau,
@@ -508,28 +536,32 @@ def _gradient_case(rng, hidden, source, epsilon):
 
 
 def check_gradients(quick: bool) -> tuple[bool, str]:
-    """Analytic gradients match central differences across the config grid."""
+    """Analytic gradients match central differences across the config grid,
+    each cell with and without a key extractor."""
     rng = np.random.default_rng(23)
-    cases = []
-    for hidden in (None, 7):
-        for source in ("batch_only", "memory_only", "mixed"):
-            for epsilon in (0.0, 1.0):
-                cases.append((hidden, source, epsilon))
-    target = 12 if quick else 50
+    cases = [
+        (hidden, source, epsilon, momentum_mode)
+        for hidden in (None, 7)
+        for source in NEGATIVE_SOURCES
+        for epsilon in (0.0, 1.0)
+        for momentum_mode in (False, True)
+    ]
+    target = len(cases) if quick else 50
     while len(cases) < target:
         cases.append(
             (
                 (None, 7)[rng.integers(2)],
-                ("batch_only", "memory_only", "mixed")[rng.integers(3)],
+                NEGATIVE_SOURCES[rng.integers(3)],
                 float(rng.uniform(0, 1)),
+                bool(rng.integers(0, 2)),
             )
         )
     worst = 0.0
-    for hidden, source, epsilon in cases[:target]:
-        err = _gradient_case(rng, hidden, source, epsilon)
+    for case in cases:
+        err = _gradient_case(rng, *case)
         worst = max(worst, err)
         if err > 1e-4:
-            return False, f"rel err {err:.2e} ({hidden}, {source}, eps={epsilon})"
+            return False, f"rel err {err:.2e} (hidden, source, eps, key) = {case}"
     return True, f"{target} configs, max rel err {worst:.2e}"
 
 

@@ -145,7 +145,7 @@ class TestParseConfig:
         raw = tiny_config_dict()
         raw["memory"]["kernel"] = {"form": "exp", "tau": 0.5}
         cfg = parse_config(raw)
-        assert cfg.memory.make_kernel().tau == 0.5
+        assert cfg.memory.kernel.tau == 0.5
 
         raw["memory"]["kernel"] = {"form": "exp"}
         with pytest.raises(ConfigError, match="tau"):
