@@ -5,6 +5,7 @@ The package is organized bottom-up:
 - kernels: duplication-probability kernels over unit embeddings
 - information: Hebbian / distinctiveness information and the HML loss
 - memory: fixed-capacity active memory with the DUEL policy and baselines
+- codec: the JSON codec for configs and checkpoint metadata
 - trainer: memory-augmented InfoNCE training in pure numpy
 - streams: synthetic imbalanced pair streams and embedding-file IO
 - metrics: memory and representation diagnostics

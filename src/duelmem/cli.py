@@ -135,7 +135,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError, ValueError) as exc:
         print(f"duelmem: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -7,15 +7,14 @@ and the memory policy, so repeated runs write byte-identical artifacts.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
-import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .kernels import KERNEL_FORMS, AffineCosine, Kernel, LabelOracle, normalize
+from .codec import ConfigError, decode, decode_versioned, encode
+from .kernels import AffineCosine, Kernel, LabelOracle, normalize
 from .memory import ActiveMemory, POLICIES
 from .metrics import (
     MetricsRow,
@@ -27,14 +26,7 @@ from .metrics import (
     linear_probe,
     write_metrics_csv,
 )
-from .streams import (
-    Dominant,
-    GaussianPairStream,
-    Imbalance,
-    LongTail,
-    StreamConfig,
-    csv_row,
-)
+from .streams import GaussianPairStream, StreamConfig, csv_row
 from .trainer import (
     FeatureExtractor,
     TrainState,
@@ -57,10 +49,6 @@ __all__ = [
 ]
 
 CONFIG_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config; message names the offending field."""
 
 
 @dataclass
@@ -116,7 +104,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The JSON form of this config; parse_config reads it back."""
-        return {"version": CONFIG_VERSION, **_encode(self)}
+        return {"version": CONFIG_VERSION, **encode(self)}
 
 
 def default_config_dict() -> dict:
@@ -124,110 +112,9 @@ def default_config_dict() -> dict:
     return ExperimentConfig().to_dict()
 
 
-# -- JSON codec ---------------------------------------------------------------
-# The config dataclasses are the schema: field names, types and defaults are
-# read from them. A field typed as a tagged union is a JSON object whose tag
-# key selects the class.
-
-_UNIONS = {
-    Imbalance: ("kind", {"dominant": Dominant, "longtail": LongTail}),
-    Kernel: ("form", KERNEL_FORMS),
-}
-_TAGS = {
-    cls: {key: tag} for key, table in _UNIONS.values() for tag, cls in table.items()
-}
-# Stream and trainer seeds are derived from the run's seed, never configured.
-_NOT_IN_JSON = {"seed"}
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
-
-
-@functools.cache
-def _json_fields(cls) -> tuple:
-    """(field, resolved type) for each JSON field of a config dataclass."""
-    hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in fields(cls) if f.name not in _NOT_IN_JSON)
-
-
-def _encode(value):
-    if is_dataclass(value):
-        return {
-            **_TAGS.get(type(value), {}),
-            **{
-                f.name: _encode(getattr(value, f.name))
-                for f, _ in _json_fields(type(value))
-            },
-        }
-    return list(value) if isinstance(value, tuple) else value
-
-
-def _is(value, kind) -> bool:
-    """JSON type test: a boolean is not a number; an integer is a float."""
-    if isinstance(value, bool):
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _decode(hint, value, path: str):
-    if hint in _UNIONS:
-        key, table = _UNIONS[hint]
-        if not isinstance(value, dict):
-            raise ConfigError(f"{path}: expected an object")
-        tag = value.get(key)
-        if not isinstance(tag, str) or tag not in table:
-            raise ConfigError(
-                f"{path}.{key}: expected one of {list(table)}, got {tag!r}"
-            )
-        return _decode(table[tag], {k: v for k, v in value.items() if k != key}, path)
-    if is_dataclass(hint):
-        return _decode_section(hint, value, path)
-    args = typing.get_args(hint)
-    if type(None) in args:
-        (inner,) = (a for a in args if a is not type(None))
-        if value is not None and not _is(value, inner):
-            raise ConfigError(f"{path}: expected {_EXPECTED[inner]} or null")
-        return None if value is None else _decode(inner, value, path)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list) or not all(_is(v, args[0]) for v in value):
-            raise ConfigError(f"{path}: expected a list of {args[0].__name__}")
-        return tuple(value)
-    if not _is(value, hint):
-        raise ConfigError(f"{path}: expected {_EXPECTED[hint]}")
-    return float(value) if hint is float else value
-
-
-def _decode_section(cls, raw, path: str):
-    where = path or "config"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
-    schema = _json_fields(cls)
-    unknown = set(raw) - {f.name for f, _ in schema}
-    if unknown:
-        raise ConfigError(f"{where}: unknown fields {sorted(unknown)}")
-    kwargs = {}
-    for f, hint in schema:
-        sub = f"{path}.{f.name}" if path else f.name
-        if f.name in raw:
-            kwargs[f.name] = _decode(hint, raw[f.name], sub)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{sub}: missing")
-    try:
-        return cls(**kwargs)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config dict; unknown fields anywhere are rejected."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
-    if raw.get("version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"version: expected {CONFIG_VERSION}, got {raw.get('version')!r}"
-        )
-    sections = {k: v for k, v in raw.items() if k != "version"}
-    return _decode(ExperimentConfig, sections, "")
+    return decode_versioned(ExperimentConfig, raw, CONFIG_VERSION, "")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -287,11 +174,12 @@ def run_experiment(
         cfg.memory.policy,
         seed=np.random.default_rng(ss_mem).integers(2**31),
     )
-    trainer_cfg = replace(
-        cfg.trainer, seed=int(np.random.default_rng(ss_neg).integers(2**31))
-    )
     state = TrainState.create(
-        trainer_cfg, extractor, memory, guarded_memory=cfg.memory.guarded
+        cfg.trainer,
+        extractor,
+        memory,
+        guarded_memory=cfg.memory.guarded,
+        seed=int(np.random.default_rng(ss_neg).integers(2**31)),
     )
 
     # Seed the memory so memory negatives exist from the first step.
@@ -444,7 +332,12 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
     if exp_cfg is None:
         raise ValueError("checkpoint carries no experiment config to sample from")
     cfg = parse_config({k: v for k, v in exp_cfg.items() if k != "seed"})
-    seed = exp_cfg.get("seed", 0)
+    seed = decode(int, exp_cfg.get("seed", 0), "experiment_config.seed")
+    if cfg.stream.d_in != state.extractor.d_in:
+        raise ConfigError(
+            f"experiment_config.stream.d_in: {cfg.stream.d_in} differs from "
+            f"the checkpoint's d_in {state.extractor.d_in}"
+        )
     stream = GaussianPairStream(replace(cfg.stream, seed=seed))
     if per_class == 0:
         write_embedding_csv(

@@ -7,7 +7,7 @@ latent class.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,8 +18,6 @@ __all__ = [
     "Kernel",
     "LabelOracle",
     "cosine",
-    "kernel_from_dict",
-    "kernel_to_dict",
     "mdp",
     "normalize",
     "pair_scores",
@@ -92,26 +90,6 @@ Kernel = ExponentialTemp | AffineCosine | LabelOracle
 # The JSON tag of each kernel class. Configs and checkpoints both store a
 # kernel as {"form": tag, **parameters}.
 KERNEL_FORMS = {"affine": AffineCosine, "exp": ExponentialTemp, "oracle": LabelOracle}
-
-
-def kernel_to_dict(kernel: Kernel) -> dict:
-    """The kernel's JSON form: its tag plus its dataclass fields."""
-    for form, cls in KERNEL_FORMS.items():
-        if type(kernel) is cls:
-            return {"form": form, **asdict(kernel)}
-    raise ValueError(f"unknown kernel {kernel!r}")
-
-
-def kernel_from_dict(d: dict) -> Kernel:
-    """Inverse of kernel_to_dict."""
-    params = dict(d)
-    form = params.pop("form", None)
-    if form not in KERNEL_FORMS:
-        raise ValueError(f"unknown kernel form {form!r}")
-    odd = sorted(set(params) ^ {f.name for f in fields(KERNEL_FORMS[form])})
-    if odd:
-        raise ValueError(f"kernel {form!r}: unknown or missing fields {odd}")
-    return KERNEL_FORMS[form](**params)
 
 
 def pair_scores(

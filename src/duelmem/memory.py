@@ -98,6 +98,7 @@ __all__ = [
     "EvictionEvent",
     "PushResult",
     "guarded_update",
+    "rng_from_state",
 ]
 
 # Score credited to a freshly inserted row for its self pair, q(i, i) = 1.
@@ -650,6 +651,7 @@ class ActiveMemory:
         exact = self._row_sums(emb[:count], emb[:count], kl, kl)
         if not np.all(np.abs(scores[:count] - exact) <= 1e-9):
             raise ValueError("scores: cached row sums differ from a recompute by > 1e-9")
+        rng_from_state(state["rng"], "rng")
         self._restore({**state, "emb": emb, "labels": labels, "steps": steps, "scores": scores})
 
     def _restore(self, state: dict, stale: bool = False) -> None:
@@ -660,6 +662,17 @@ class ActiveMemory:
         self._count, self._seen = int(state["count"]), int(state["seen"])
         self.rng.bit_generator.state = state["rng"]
         self._stale = stale
+
+
+def rng_from_state(state, field: str) -> np.random.Generator:
+    """A new generator set to a saved bit_generator state; a malformed state
+    raises a ValueError naming field and changes nothing else."""
+    rng = np.random.default_rng()
+    try:
+        rng.bit_generator.state = state
+    except (KeyError, TypeError, OverflowError, ValueError) as exc:
+        raise ValueError(f"{field}: invalid generator state ({exc!r})") from exc
+    return rng
 
 
 # The update path of each policy, called with the entries that must displace

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import json
 import math
-import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import kernel_from_dict, kernel_to_dict, normalize
-from .memory import ActiveMemory, PushResult, guarded_update
+from .codec import decode_versioned, encode
+from .kernels import Kernel, normalize
+from .memory import ActiveMemory, PushResult, guarded_update, rng_from_state
 
 __all__ = [
     "FeatureExtractor",
@@ -44,7 +44,7 @@ __all__ = [
 
 NEGATIVE_SOURCES = ("batch_only", "memory_only", "mixed")
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -61,7 +61,6 @@ class TrainerConfig:
     beta2: float = 0.999
     delta: float = 1e-8
     steps: int = 800
-    seed: int = 0
     d_out: int = 16
     hidden: int | None = None
 
@@ -286,7 +285,6 @@ class TrainState:
     step: int = 0
     adam_m: dict | None = None
     adam_v: dict | None = None
-    adam_t: int = 0
     guarded_memory: bool = False
 
     @classmethod
@@ -296,14 +294,16 @@ class TrainState:
         extractor: FeatureExtractor,
         memory: ActiveMemory,
         guarded_memory: bool = False,
+        seed: int = 0,
     ) -> "TrainState":
+        """A step-0 state whose negative sampling is seeded with seed."""
         key = extractor.clone() if config.momentum is not None else None
         state = cls(
             config=config,
             extractor=extractor,
             key_extractor=key,
             memory=memory,
-            rng=np.random.default_rng(config.seed),
+            rng=np.random.default_rng(seed),
             guarded_memory=guarded_memory,
         )
         if config.optimizer == "adam":
@@ -319,8 +319,7 @@ def _apply_gradients(state: TrainState, grads: dict, lr: float) -> None:
         for k in params:
             params[k] -= lr * grads[k]
         return
-    state.adam_t += 1
-    t = state.adam_t
+    t = state.step + 1
     for k in params:
         state.adam_m[k] = cfg.beta1 * state.adam_m[k] + (1 - cfg.beta1) * grads[k]
         state.adam_v[k] = cfg.beta2 * state.adam_v[k] + (1 - cfg.beta2) * grads[k] ** 2
@@ -462,33 +461,50 @@ def numerical_gradient(loss_fn, params: dict, h: float = 1e-5) -> dict:
 _MEMORY_ARRAYS = ("emb", "labels", "steps", "scores")
 
 
+@dataclass
+class _MemoryMeta:
+    capacity: int
+    policy: str
+    kernel: Kernel
+    count: int
+    seen: int
+    rng: dict
+
+
+@dataclass
+class _CheckpointMeta:
+    """A checkpoint's JSON metadata, less its version. The extractor and the
+    memory take d_out and hidden from trainer."""
+
+    trainer: TrainerConfig
+    d_in: int
+    memory: _MemoryMeta
+    step: int
+    guarded_memory: bool
+    rng: dict
+    experiment_config: dict | None
+
+
 def save_checkpoint(path, state: TrainState, experiment_config: dict | None = None) -> None:
     """Dump architecture, parameters, optimizer moments, memory and RNG state."""
     mem = state.memory
     mem_state = mem.state_dict()
-    meta = {
-        "version": CHECKPOINT_VERSION,
-        "trainer": asdict(state.config),
-        "arch": {
-            "d_in": state.extractor.d_in,
-            "d_out": state.extractor.d_out,
-            "hidden": state.extractor.hidden,
-        },
-        "memory": {
-            "capacity": mem.capacity,
-            "dim": mem.dim,
-            "policy": mem.policy,
-            "count": mem_state["count"],
-            "seen": mem_state["seen"],
-            "kernel": kernel_to_dict(mem.kernel),
-            "rng": mem_state["rng"],
-        },
-        "step": state.step,
-        "adam_t": state.adam_t,
-        "guarded_memory": state.guarded_memory,
-        "rng": state.rng.bit_generator.state,
-        "experiment_config": experiment_config,
-    }
+    meta = _CheckpointMeta(
+        trainer=state.config,
+        d_in=state.extractor.d_in,
+        memory=_MemoryMeta(
+            capacity=mem.capacity,
+            policy=mem.policy,
+            kernel=mem.kernel,
+            count=mem_state["count"],
+            seen=mem_state["seen"],
+            rng=mem_state["rng"],
+        ),
+        step=state.step,
+        guarded_memory=state.guarded_memory,
+        rng=state.rng.bit_generator.state,
+        experiment_config=experiment_config,
+    )
     arrays = {}
     for k, v in state.extractor.params.items():
         arrays[f"q.{k}"] = v
@@ -502,7 +518,8 @@ def save_checkpoint(path, state: TrainState, experiment_config: dict | None = No
             arrays[f"av.{k}"] = v
     for key in _MEMORY_ARRAYS:
         arrays[f"mem.{key}"] = mem_state[key]
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    meta_json = json.dumps({"version": CHECKPOINT_VERSION, **encode(meta)})
+    arrays["meta"] = np.frombuffer(meta_json.encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -523,76 +540,43 @@ def _load_params(data, prefix: str, template: FeatureExtractor) -> dict:
     return params
 
 
-class _Meta(dict):
-    """A JSON object of checkpoint metadata; a missing field is a ValueError."""
-
-    def __missing__(self, key):
-        raise ValueError(f"checkpoint meta: missing field {key!r}")
-
-
-def _trainer_config(raw) -> TrainerConfig:
-    """meta.trainer as a TrainerConfig, refusing a bad field by name."""
-    if not isinstance(raw, dict):
-        raise ValueError("meta.trainer: expected an object")
-    hints = typing.get_type_hints(TrainerConfig)
-    odd = sorted(set(raw) ^ set(hints))
-    if odd:
-        raise ValueError(f"meta.trainer: unknown or missing fields {odd}")
-    for name, hint in hints.items():
-        value, kinds = raw[name], typing.get_args(hint) or (hint,)
-        kinds += (int,) if float in kinds else ()
-        if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
-            raise ValueError(f"meta.trainer.{name}: expected {hint}, got {value!r}")
-    return TrainerConfig(**raw)
-
-
 def load_checkpoint(path) -> tuple[TrainState, dict | None]:
     """Read a checkpoint; malformed state raises ValueError naming the field."""
     with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode(), object_hook=_Meta)
-        if meta["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta['version']}")
-        cfg = _trainer_config(meta["trainer"])
-        arch = meta["arch"]
-        for name in ("d_out", "hidden"):
-            if getattr(cfg, name) != arch[name]:
-                raise ValueError(f"meta.trainer.{name} disagrees with meta.arch.{name}")
-        extractor = FeatureExtractor(arch["d_in"], arch["d_out"], arch["hidden"])
+        raw = json.loads(bytes(data["meta"]).decode())
+        meta = decode_versioned(_CheckpointMeta, raw, CHECKPOINT_VERSION, "meta")
+        cfg = meta.trainer
+        if not 0 <= meta.step <= cfg.steps:
+            raise ValueError(f"meta.step: {meta.step} outside [0, {cfg.steps}]")
+        extractor = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
         extractor.params = _load_params(data, "q.", extractor)
         key = None
-        if any(k.startswith("k.") for k in data.files):
-            key = FeatureExtractor(arch["d_in"], arch["d_out"], arch["hidden"])
+        if cfg.momentum is not None:
+            key = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
             key.params = _load_params(data, "k.", key)
 
-        mem_meta = meta["memory"]
+        mem_meta = meta.memory
         memory = ActiveMemory(
-            mem_meta["capacity"],
-            mem_meta["dim"],
-            kernel_from_dict(mem_meta["kernel"]),
-            mem_meta["policy"],
+            mem_meta.capacity, cfg.d_out, mem_meta.kernel, mem_meta.policy
         )
         memory.load_state_dict(
             {
                 **{name: data[f"mem.{name}"] for name in _MEMORY_ARRAYS},
-                "count": mem_meta["count"],
-                "seen": mem_meta["seen"],
-                "rng": mem_meta["rng"],
+                "count": mem_meta.count,
+                "seen": mem_meta.seen,
+                "rng": mem_meta.rng,
             }
         )
-        rng = np.random.default_rng()
-        rng.bit_generator.state = meta["rng"]
-
         state = TrainState(
             config=cfg,
             extractor=extractor,
             key_extractor=key,
             memory=memory,
-            rng=rng,
-            step=meta["step"],
-            adam_t=meta["adam_t"],
-            guarded_memory=meta["guarded_memory"],
+            rng=rng_from_state(meta.rng, "meta.rng"),
+            step=meta.step,
+            guarded_memory=meta.guarded_memory,
         )
         if cfg.optimizer == "adam":
             state.adam_m = _load_params(data, "am.", extractor)
             state.adam_v = _load_params(data, "av.", extractor)
-        return state, meta["experiment_config"]
+        return state, meta.experiment_config

@@ -584,13 +584,12 @@ def check_trainer_mechanics(quick: bool) -> tuple[bool, str]:
             memory_neg_count=4,
             lr=lr,
             steps=5,
-            seed=9,
             d_out=3,
         )
         ext = FeatureExtractor(4, 3, seed=7)
         mem = ActiveMemory(8, 3, AffineCosine(), "duel", seed=5)
         mem.push_batch(_random_unit(np.random.default_rng(3), 8, 3))
-        return TrainState.create(cfg, ext, mem)
+        return TrainState.create(cfg, ext, mem, seed=9)
 
     state = tiny_state(0.0)
     X = rng.normal(size=(4, 4))

@@ -4,7 +4,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from duelmem.harness import (
 )
 from duelmem.metrics import MetricsRow
 from duelmem.streams import load_embedding_stream
-from duelmem.trainer import load_checkpoint
+from duelmem.trainer import load_checkpoint, save_checkpoint
 
 
 def tiny_config_dict(**overrides) -> dict:
@@ -380,6 +384,25 @@ class TestExportEmbeddings:
         assert emb.shape == (15, cfg.trainer.d_out)
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [("seed", "3"), ("seed", True), ("stream.d_in", 7)],
+        ids=["seed-string", "seed-bool", "d_in-differs"],
+    )
+    def test_bad_experiment_config_names_field(self, tmp_path, capsys, path, value):
+        out = tmp_path / "run"
+        run_experiment(parse_config(tiny_config_dict()), seed=0, out_dir=str(out))
+        ckpt = out / "checkpoint.npz"
+        state, exp_cfg = load_checkpoint(ckpt)
+        set_path(exp_cfg, path, value)
+        save_checkpoint(ckpt, state, experiment_config=exp_cfg)
+        field_name = f"experiment_config.{path}"
+        with pytest.raises(ValueError, match=re.escape(field_name)):
+            export_embeddings(ckpt, tmp_path / "emb.csv")
+        csv_path = str(tmp_path / "emb.csv")
+        assert main(["export-embeddings", "--ckpt", str(ckpt), "--out", csv_path]) == 1
+        assert field_name in capsys.readouterr().err
+
     def test_zero_per_class_writes_header_only(self, tmp_path):
         cfg = parse_config(tiny_config_dict())
         out = tmp_path / "run"
@@ -399,6 +422,18 @@ class TestCli:
         assert main(["show-config"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed == default_config_dict()
+
+    def test_python_m_duelmem_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "duelmem", "show-config"],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        )
+        assert json.loads(done.stdout) == default_config_dict()
 
     def test_run_writes_artifacts(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)

@@ -939,6 +939,24 @@ class TestLoadedScores:
         with pytest.raises(ValueError, match="steps"):
             mem.load_state_dict(state)
 
+    @pytest.mark.parametrize(
+        "rng_state",
+        [{"bit_generator": "PCG64"}, {"bit_generator": "MT19937"}, "pcg64"],
+        ids=["missing-state", "other-generator", "not-an-object"],
+    )
+    def test_refused_rng_leaves_memory_unchanged(self, rng_state):
+        rng = np.random.default_rng(41)
+        mem = ActiveMemory.from_arrays(_unit(rng, 5, 4), capacity=8, seed=2)
+        before = (mem.embeddings, mem.scores, mem.rng.bit_generator.state)
+        state = _filled(rng, 8, 4).state_dict()
+        state["rng"] = rng_state
+        with pytest.raises(ValueError, match="^rng: "):
+            mem.load_state_dict(state)
+        assert mem.size == 5
+        assert np.array_equal(mem.embeddings, before[0])
+        assert np.array_equal(mem.scores, before[1])
+        assert mem.rng.bit_generator.state == before[2]
+
     def test_coherent_state_loads_bit_exact(self):
         rng = np.random.default_rng(38)
         mem = _filled(rng, 8, 4)

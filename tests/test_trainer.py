@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
 import math
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
 
 from duelmem.cli import USAGE_ERROR, main
-from duelmem.kernels import AffineCosine, normalize
+from duelmem.codec import decode, encode
+from duelmem.kernels import KERNEL_FORMS, AffineCosine, ExponentialTemp, normalize
 from duelmem.memory import ActiveMemory
 from duelmem.trainer import (
     FeatureExtractor,
@@ -22,6 +26,8 @@ from duelmem.trainer import (
     numerical_gradient,
     save_checkpoint,
     train_step,
+    _CheckpointMeta,
+    _MemoryMeta,
 )
 
 
@@ -29,7 +35,9 @@ def _unit(rng, n, z):
     return normalize(rng.normal(size=(n, z)))
 
 
-def _tiny_state(lr=0.05, steps=5, momentum=0.9, guarded=False, seed=7, source="mixed"):
+def _tiny_state(
+    lr=0.05, steps=5, momentum=0.9, guarded=False, seed=7, source="mixed", kernel=AffineCosine()
+):
     cfg = TrainerConfig(
         batch_size=4,
         memory_neg_count=4,
@@ -37,13 +45,12 @@ def _tiny_state(lr=0.05, steps=5, momentum=0.9, guarded=False, seed=7, source="m
         momentum=momentum,
         lr=lr,
         steps=steps,
-        seed=seed,
         d_out=3,
     )
     extractor = FeatureExtractor(4, 3, seed=seed)
-    memory = ActiveMemory(8, 3, AffineCosine(), "duel", seed=5)
+    memory = ActiveMemory(8, 3, kernel, "duel", seed=5)
     memory.push_batch(_unit(np.random.default_rng(3), 8, 3), np.zeros(8, int))
-    return TrainState.create(cfg, extractor, memory, guarded_memory=guarded)
+    return TrainState.create(cfg, extractor, memory, guarded_memory=guarded, seed=seed)
 
 
 class TestFeatureExtractor:
@@ -279,8 +286,6 @@ class TestTrainStep:
 
 def _rewrite_checkpoint(path, fault) -> None:
     """Apply fault(arrays, meta) to a saved checkpoint in place."""
-    import json
-
     with np.load(path) as data:
         arrays = dict(data)
     meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -300,6 +305,10 @@ def _set_memory_meta(**values):
 
 def _set_trainer_meta(**values):
     return lambda arrays, meta: meta["trainer"].update(values)
+
+
+def _set_meta(**values):
+    return lambda arrays, meta: meta.update(values)
 
 
 def _nan_row(arrays, meta):
@@ -330,17 +339,81 @@ CHECKPOINT_FAULTS = {
     "wrong_scores": (_wrong_score, "scores"),
     "trainer_unknown_field": (_set_trainer_meta(warmup=3), "warmup"),
     "trainer_mistyped_field": (_set_trainer_meta(batch_size="4"), "batch_size"),
-    "trainer_d_out_disagrees": (_set_trainer_meta(d_out=5), "d_out"),
-    "trainer_hidden_disagrees": (_set_trainer_meta(hidden=6), "hidden"),
+    # The extractor is built from meta.trainer, so a changed d_out or hidden
+    # no longer fits the stored parameters.
+    "trainer_d_out_disagrees": (_set_trainer_meta(d_out=5), "q.W"),
+    "trainer_hidden_disagrees": (_set_trainer_meta(hidden=6), "q.*"),
     "kernel_missing_tau": (_set_memory_meta(kernel={"form": "exp"}), "tau"),
+    "kernel_string_tau": (
+        _set_memory_meta(kernel={"form": "exp", "tau": "0.5"}),
+        "meta.memory.kernel.tau",
+    ),
+    "capacity_string": (_set_memory_meta(capacity="8"), "meta.memory.capacity"),
+    "d_in_string": (_set_meta(d_in="4"), "meta.d_in"),
     "step_missing": (lambda arrays, meta: meta.pop("step"), "step"),
+    "step_negative": (_set_meta(step=-5), "meta.step"),
+    "step_above_steps": (_set_meta(step=6), "meta.step"),
+    "rng_missing_state": (_set_meta(rng={"bit_generator": "PCG64"}), "meta.rng"),
+    "memory_rng_missing_state": (_set_memory_meta(rng={"bit_generator": "PCG64"}), "rng"),
+    "experiment_config_list": (_set_meta(experiment_config=[]), "meta.experiment_config"),
+    "version_1": (_set_meta(version=1), "meta.version"),
     "param_shape": (_truncate("q.W"), "q.W"),
     "param_missing": (lambda arrays, meta: arrays.pop("k.b"), "k."),
+    # meta.trainer.momentum says a key extractor was saved.
+    "key_params_missing": (
+        lambda arrays, meta: [arrays.pop(k) for k in ("k.W", "k.b")],
+        "k.",
+    ),
     "param_extra": (
         lambda arrays, meta: arrays.update({"am.extra": np.zeros(3)}),
         "am.",
     ),
 }
+
+
+# Objects the codec passes through as they are: generator states and the
+# experiment config, which export_embeddings parses itself.
+_OPAQUE = ("rng", "experiment_config")
+
+
+def _at(meta: dict, keys: list) -> dict:
+    for key in keys:
+        meta = meta[key]
+    return meta
+
+
+def _meta_faults() -> list:
+    """(dotted path, fault) pairs over a saved checkpoint's metadata: an
+    unknown field added to each object the codec walks into, and a value of
+    the wrong JSON type at each of their fields. The exp kernel gives the
+    walk a kernel parameter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ckpt.npz")
+        save_checkpoint(path, _tiny_state(kernel=ExponentialTemp(0.5)))
+        with np.load(path) as data:
+            saved = json.loads(bytes(data["meta"]).decode())
+    faults = []
+
+    def walk(obj: dict, keys: list) -> None:
+        path = ".".join(["meta", *keys])
+        faults.append((path, lambda arrays, meta: _at(meta, keys).update(unknown=1)))
+        for key, value in obj.items():
+            if isinstance(value, dict) and key not in _OPAQUE:
+                walk(value, [*keys, key])
+            else:
+                wrong = 5 if isinstance(value, str) else "x"
+                faults.append(
+                    (
+                        f"{path}.{key}",
+                        lambda arrays, meta, k=key, w=wrong: _at(meta, keys).update({k: w}),
+                    )
+                )
+
+    walk(saved, [])
+    return faults
+
+
+META_FAULTS = _meta_faults()
 
 
 class TestCheckpoint:
@@ -395,9 +468,38 @@ class TestCheckpoint:
         assert main(["export-embeddings", "--ckpt", str(path), "--out", out]) == USAGE_ERROR
         assert field_name in capsys.readouterr().err
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        import json
+    @pytest.mark.parametrize(
+        "path, fault", META_FAULTS, ids=[p for p, _ in META_FAULTS]
+    )
+    def test_meta_fault_names_exact_path(self, tmp_path, capsys, path, fault):
+        ckpt = tmp_path / "ckpt.npz"
+        save_checkpoint(ckpt, _tiny_state(kernel=ExponentialTemp(0.5)))
+        _rewrite_checkpoint(ckpt, fault)
+        # The exact path, then a colon: "meta.memory" must not be satisfied
+        # by a message about "meta.memory.count".
+        exact = rf"(^| ){re.escape(path)}:"
+        with pytest.raises(ValueError, match=exact):
+            load_checkpoint(ckpt)
+        out = str(tmp_path / "emb.csv")
+        assert main(["export-embeddings", "--ckpt", str(ckpt), "--out", out]) == USAGE_ERROR
+        assert re.search(exact, capsys.readouterr().err)
 
+    @pytest.mark.parametrize("form", sorted(KERNEL_FORMS))
+    def test_meta_codec_round_trips(self, form):
+        kernel = ExponentialTemp(0.25) if form == "exp" else KERNEL_FORMS[form]()
+        rng = np.random.default_rng(3).bit_generator.state
+        meta = _CheckpointMeta(
+            trainer=TrainerConfig(hidden=5, momentum=None),
+            d_in=4,
+            memory=_MemoryMeta(8, "fifo", kernel, 3, 9, rng),
+            step=2,
+            guarded_memory=True,
+            rng=rng,
+            experiment_config={"seed": 1},
+        )
+        assert decode(_CheckpointMeta, json.loads(json.dumps(encode(meta))), "meta") == meta
+
+    def test_version_mismatch_rejected(self, tmp_path):
         state = _tiny_state()
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, state)
