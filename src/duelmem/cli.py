@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage or runtime error, 2 failed verification.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -118,20 +119,31 @@ def _cmd_show_config() -> int:
     return 0
 
 
+def _dispatch(args) -> int:
+    if args.command == "run":
+        return _cmd_run(args)
+    if args.command == "bench-policies":
+        return _cmd_bench(args)
+    if args.command == "verify":
+        return 0 if run_all(quick=args.quick) else CHECK_FAILURE
+    if args.command == "export-embeddings":
+        return _cmd_export(args)
+    if args.command == "show-config":
+        return _cmd_show_config()
+    raise AssertionError(f"unhandled command {args.command}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "bench-policies":
-            return _cmd_bench(args)
-        if args.command == "verify":
-            return 0 if run_all(quick=args.quick) else CHECK_FAILURE
-        if args.command == "export-embeddings":
-            return _cmd_export(args)
-        if args.command == "show-config":
-            return _cmd_show_config()
-        raise AssertionError(f"unhandled command {args.command}")
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout left early, as `duelmem show-config | head`
+        # does. Point stdout at devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
     except (ConfigError, OSError, ValueError) as exc:
         print(f"duelmem: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

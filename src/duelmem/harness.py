@@ -331,8 +331,15 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
     state, exp_cfg = load_checkpoint(ckpt_path)
     if exp_cfg is None:
         raise ValueError("checkpoint carries no experiment config to sample from")
-    cfg = parse_config({k: v for k, v in exp_cfg.items() if k != "seed"})
+    cfg = decode_versioned(
+        ExperimentConfig,
+        {k: v for k, v in exp_cfg.items() if k != "seed"},
+        CONFIG_VERSION,
+        "experiment_config",
+    )
     seed = decode(int, exp_cfg.get("seed", 0), "experiment_config.seed")
+    if seed < 0:
+        raise ConfigError(f"experiment_config.seed: expected >= 0, got {seed}")
     if cfg.stream.d_in != state.extractor.d_in:
         raise ConfigError(
             f"experiment_config.stream.d_in: {cfg.stream.d_in} differs from "

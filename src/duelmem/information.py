@@ -41,8 +41,41 @@ def _flag_infinite(context: str) -> None:
     warnings.warn(
         f"zero duplication probability in {context}; returning inf",
         InfiniteInformationWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
+
+
+def _hebbian_rows(Q: np.ndarray, W: np.ndarray, context: str) -> np.ndarray:
+    """I_h of each row of the score matrix Q: the mean of -log q weighted by
+    W, an (m,) vector or an (n, m) matrix. A row is +inf, flagged, where a
+    column with positive weight has q = 0."""
+    logs = np.zeros_like(Q)
+    np.log(Q, where=Q > 0, out=logs)
+    i_h = -(W * logs).sum(axis=1)
+    infinite = ((Q == 0.0) & (W > 0)).any(axis=1)
+    if infinite.any():
+        _flag_infinite(context)
+        i_h[infinite] = math.inf
+    return i_h
+
+
+def _distinctiveness_rows(Q: np.ndarray, w: np.ndarray, context: str) -> np.ndarray:
+    """I_d of each row of the score matrix Q: -log of its w-weighted mean. A
+    row is +inf, flagged, where that mean is 0."""
+    mean_q = Q @ w
+    if np.any(mean_q == 0.0):
+        _flag_infinite(context)
+    with np.errstate(divide="ignore"):
+        return -np.log(mean_q)
+
+
+def _class_conditionals(dist: "FiniteDistribution") -> np.ndarray:
+    """(n, n) weights whose row i is the class conditional of point i."""
+    W = np.where(dist.labels[:, None] == dist.labels, dist.weights, 0.0)
+    mass = W.sum(axis=1, keepdims=True)
+    if np.any(mass == 0.0):
+        raise ValueError(f"class {dist.labels[np.argmin(mass)]} has zero weight")
+    return W / mass
 
 
 @dataclass
@@ -120,19 +153,14 @@ def hebbian_information(
     included). Returns +inf, with an InfiniteInformationWarning, if any
     positive has zero duplication probability with the anchor.
     """
-    q = pair_scores(
+    Q = pair_scores(
         anchor[None, :],
         positives.embeddings,
         kernel,
         np.asarray([anchor_label]),
         positives.labels,
-    )[0]
-    if np.any((q == 0.0) & (positives.weights > 0)):
-        _flag_infinite("hebbian_information")
-        return math.inf
-    logs = np.zeros_like(q)
-    np.log(q, where=q > 0, out=logs)
-    return float(-np.dot(positives.weights, logs))
+    )
+    return float(_hebbian_rows(Q, positives.weights, "hebbian_information")[0])
 
 
 def distinctiveness_information(
@@ -146,18 +174,15 @@ def distinctiveness_information(
     Returns +inf (flagged) when the mean probability is zero, i.e. the
     anchor duplicates nothing in the reference.
     """
-    q = pair_scores(
+    Q = pair_scores(
         anchor[None, :],
         reference.embeddings,
         kernel,
         None if anchor_label is None else np.asarray([anchor_label]),
         reference.labels,
-    )[0]
-    mean_q = float(np.dot(reference.weights, q))
-    if mean_q == 0.0:
-        _flag_infinite("distinctiveness_information")
-        return math.inf
-    return -math.log(mean_q)
+    )
+    i_d = _distinctiveness_rows(Q, reference.weights, "distinctiveness_information")
+    return float(i_d[0])
 
 
 def hml_loss(dist: FiniteDistribution, kernel: Kernel) -> float:
@@ -169,30 +194,11 @@ def hml_loss(dist: FiniteDistribution, kernel: Kernel) -> float:
     propagate flagged; an anchor hitting inf - inf yields nan.
     """
     Q = self_scores(dist.embeddings, kernel, dist.labels)
-    w = dist.weights
-    labels = dist.labels
-
-    mean_q = Q @ w
-    with np.errstate(divide="ignore"):
-        i_d = -np.log(mean_q)
-    if np.any(mean_q == 0.0):
-        _flag_infinite("hml_loss distinctiveness term")
-
-    i_h = np.zeros(dist.n_points)
-    for c in dist.classes():
-        mask = labels == c
-        class_w = w[mask] / w[mask].sum()
-        q_block = Q[np.ix_(mask, mask)]
-        if np.any((q_block == 0.0) & (class_w[None, :] > 0)):
-            _flag_infinite("hml_loss hebbian term")
-        logs = np.zeros_like(q_block)
-        np.log(q_block, where=q_block > 0, out=logs)
-        logs = np.where((q_block == 0.0) & (class_w[None, :] > 0), -np.inf, logs)
-        i_h[mask] = -(logs @ class_w)
-
+    i_h = _hebbian_rows(Q, _class_conditionals(dist), "hml_loss hebbian term")
+    i_d = _distinctiveness_rows(Q, dist.weights, "hml_loss distinctiveness term")
     with np.errstate(invalid="ignore"):
         per_anchor = i_h - i_d
-    return float(np.dot(w, per_anchor))
+    return float(np.dot(dist.weights, per_anchor))
 
 
 def imbalance_lambda(n_classes: int, rho_min: float) -> float:
@@ -221,23 +227,14 @@ def mhml_bound(
     per-class conditionals this dominates hml_loss(oracle, kernel).
     """
     lam = imbalance_lambda(n_classes, rho_min)
-
-    i_h = 0.0
-    for c in empirical.classes():
-        conditional = empirical.restricted_to_class(int(c))
-        mask = empirical.labels == c
-        for idx in np.flatnonzero(mask):
-            i_h += empirical.weights[idx] * hebbian_information(
-                empirical.embeddings[idx], int(c), conditional, kernel
-            )
+    Q = self_scores(empirical.embeddings, kernel, empirical.labels)
+    rows = _hebbian_rows(Q, _class_conditionals(empirical), "mhml_bound hebbian term")
+    i_h = float(np.dot(empirical.weights, rows))
 
     def mean_distinctiveness(dist: FiniteDistribution, ref: FiniteDistribution) -> float:
-        total = 0.0
-        for idx in range(dist.n_points):
-            total += dist.weights[idx] * distinctiveness_information(
-                dist.embeddings[idx], ref, kernel, int(dist.labels[idx])
-            )
-        return total
+        Q = pair_scores(dist.embeddings, ref.embeddings, kernel, dist.labels, ref.labels)
+        i_d = _distinctiveness_rows(Q, ref.weights, "mhml_bound distinctiveness term")
+        return float(np.dot(dist.weights, i_d))
 
     i_d_mem = mean_distinctiveness(empirical, memory)
     i_d_oracle = mean_distinctiveness(oracle, oracle)

@@ -620,6 +620,7 @@ class ActiveMemory:
         Shapes, counters, insert ids and unit-norm entries cost
         O(capacity * dim); the cached scores, which DUEL updates read as they
         are, are checked against a recompute within 1e-9 in O(count^2 * dim).
+        A ValueError's message starts with the state key it rejects.
         """
         emb = np.array(state["emb"], dtype=np.float64)
         labels = np.array(state["labels"], dtype=np.int64)

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .kernels import normalize
 from .streams import csv_row
+from .trainer import adam_step
 
 __all__ = [
     "MetricsRow",
@@ -19,7 +20,6 @@ __all__ = [
     "inter_class_similarity",
     "intra_class_variance",
     "linear_probe",
-    "metrics_header",
     "write_metrics_csv",
 ]
 
@@ -132,10 +132,7 @@ def linear_probe(
 
     W = np.zeros((k, d))
     b = np.zeros(k)
-    mW = np.zeros_like(W)
-    vW = np.zeros_like(W)
-    mb = np.zeros_like(b)
-    vb = np.zeros_like(b)
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in (W, b)]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
@@ -148,29 +145,11 @@ def linear_probe(
         gap = (probs - onehot) / n
         gW = gap.T @ train_X + config.weight_decay * W
         gb = gap.sum(axis=0)
-        mW = beta1 * mW + (1 - beta1) * gW
-        vW = beta2 * vW + (1 - beta2) * gW**2
-        mb = beta1 * mb + (1 - beta1) * gb
-        vb = beta2 * vb + (1 - beta2) * gb**2
-        c1, c2 = 1 - beta1**t, 1 - beta2**t
-        W -= config.lr * (mW / c1) / (np.sqrt(vW / c2) + eps)
-        b -= config.lr * (mb / c1) / (np.sqrt(vb / c2) + eps)
+        for p, g, (m, v) in zip((W, b), (gW, gb), moments):
+            adam_step(p, g, m, v, t, config.lr, beta1, beta2, eps)
 
     pred = classes[np.argmax(test_X @ W.T + b, axis=1)]
     return float((pred == test_y).mean())
-
-
-METRICS_FIELDS = (
-    "step",
-    "loss",
-    "lr",
-    "class_entropy",
-    "v_intra",
-    "s_inter",
-    "mean_mem_distinct",
-    "dominant_frac",
-    "probe_acc",
-)
 
 
 @dataclass
@@ -186,27 +165,21 @@ class MetricsRow:
     probe_acc: float | None = None
 
     def as_csv(self) -> list[str]:
+        """step as an integer, every other column as a float repr; a probe
+        accuracy not measured is an empty cell."""
         cells = [str(self.step)]
-        for value in (
-            self.loss,
-            self.lr,
-            self.class_entropy,
-            self.v_intra,
-            self.s_inter,
-            self.mean_mem_distinct,
-            self.dominant_frac,
-        ):
-            cells.append(repr(float(value)))
-        cells.append("" if self.probe_acc is None else repr(float(self.probe_acc)))
+        for name in METRICS_FIELDS[1:]:
+            value = getattr(self, name)
+            cells.append("" if value is None else repr(float(value)))
         return cells
 
 
-def metrics_header() -> list[str]:
-    return list(METRICS_FIELDS)
+# The columns of metrics.csv, in order.
+METRICS_FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write(csv_row(metrics_header(), []))
+        fh.write(csv_row(METRICS_FIELDS, []))
         for row in rows:
             fh.write(csv_row(row.as_csv(), []))

@@ -31,6 +31,7 @@ __all__ = [
     "StepReport",
     "TrainState",
     "TrainerConfig",
+    "adam_step",
     "batched_infonce",
     "cosine_lr",
     "infonce_grad",
@@ -87,10 +88,10 @@ class TrainerConfig:
             raise ValueError("momentum must lie in [0, 1) or be None")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError("optimizer must be 'sgd' or 'adam'")
+        if self.optimizer != "adam":
+            raise ValueError("optimizer must be 'adam'")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("adam betas must lie in [0, 1)")
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if not self.delta > 0:
             raise ValueError("delta must be > 0")
         if self.steps < 1:
@@ -282,9 +283,9 @@ class TrainState:
     key_extractor: FeatureExtractor | None
     memory: ActiveMemory
     rng: np.random.Generator
+    adam_m: dict
+    adam_v: dict
     step: int = 0
-    adam_m: dict | None = None
-    adam_v: dict | None = None
     guarded_memory: bool = False
 
     @classmethod
@@ -297,35 +298,36 @@ class TrainState:
         seed: int = 0,
     ) -> "TrainState":
         """A step-0 state whose negative sampling is seeded with seed."""
-        key = extractor.clone() if config.momentum is not None else None
-        state = cls(
+        return cls(
             config=config,
             extractor=extractor,
-            key_extractor=key,
+            key_extractor=extractor.clone() if config.momentum is not None else None,
             memory=memory,
             rng=np.random.default_rng(seed),
+            adam_m={k: np.zeros_like(v) for k, v in extractor.params.items()},
+            adam_v={k: np.zeros_like(v) for k, v in extractor.params.items()},
             guarded_memory=guarded_memory,
         )
-        if config.optimizer == "adam":
-            state.adam_m = {k: np.zeros_like(v) for k, v in extractor.params.items()}
-            state.adam_v = {k: np.zeros_like(v) for k, v in extractor.params.items()}
-        return state
+
+
+def adam_step(
+    param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+    t: int, lr: float, beta1: float, beta2: float, eps: float,
+) -> None:
+    """One Adam update of param, in place. m and v, the first and second
+    moments, are updated in place too; t counts updates from 1."""
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * grad**2
+    param -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
 
 
 def _apply_gradients(state: TrainState, grads: dict, lr: float) -> None:
-    cfg = state.config
-    params = state.extractor.params
-    if cfg.optimizer == "sgd":
-        for k in params:
-            params[k] -= lr * grads[k]
-        return
-    t = state.step + 1
-    for k in params:
-        state.adam_m[k] = cfg.beta1 * state.adam_m[k] + (1 - cfg.beta1) * grads[k]
-        state.adam_v[k] = cfg.beta2 * state.adam_v[k] + (1 - cfg.beta2) * grads[k] ** 2
-        m_hat = state.adam_m[k] / (1 - cfg.beta1**t)
-        v_hat = state.adam_v[k] / (1 - cfg.beta2**t)
-        params[k] -= lr * m_hat / (np.sqrt(v_hat) + cfg.delta)
+    cfg, t = state.config, state.step + 1
+    for k, param in state.extractor.params.items():
+        m, v = state.adam_m[k], state.adam_v[k]
+        adam_step(param, grads[k], m, v, t, lr, cfg.beta1, cfg.beta2, cfg.delta)
 
 
 def _embed_loss_grads(
@@ -511,11 +513,10 @@ def save_checkpoint(path, state: TrainState, experiment_config: dict | None = No
     if state.key_extractor is not None:
         for k, v in state.key_extractor.params.items():
             arrays[f"k.{k}"] = v
-    if state.adam_m is not None:
-        for k, v in state.adam_m.items():
-            arrays[f"am.{k}"] = v
-        for k, v in state.adam_v.items():
-            arrays[f"av.{k}"] = v
+    for k, v in state.adam_m.items():
+        arrays[f"am.{k}"] = v
+    for k, v in state.adam_v.items():
+        arrays[f"av.{k}"] = v
     for key in _MEMORY_ARRAYS:
         arrays[f"mem.{key}"] = mem_state[key]
     meta_json = json.dumps({"version": CHECKPOINT_VERSION, **encode(meta)})
@@ -550,33 +551,31 @@ def load_checkpoint(path) -> tuple[TrainState, dict | None]:
             raise ValueError(f"meta.step: {meta.step} outside [0, {cfg.steps}]")
         extractor = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
         extractor.params = _load_params(data, "q.", extractor)
-        key = None
-        if cfg.momentum is not None:
-            key = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
-            key.params = _load_params(data, "k.", key)
 
         mem_meta = meta.memory
         memory = ActiveMemory(
             mem_meta.capacity, cfg.d_out, mem_meta.kernel, mem_meta.policy
         )
-        memory.load_state_dict(
-            {
-                **{name: data[f"mem.{name}"] for name in _MEMORY_ARRAYS},
-                "count": mem_meta.count,
-                "seen": mem_meta.seen,
-                "rng": mem_meta.rng,
-            }
-        )
-        state = TrainState(
-            config=cfg,
-            extractor=extractor,
-            key_extractor=key,
-            memory=memory,
-            rng=rng_from_state(meta.rng, "meta.rng"),
-            step=meta.step,
-            guarded_memory=meta.guarded_memory,
-        )
-        if cfg.optimizer == "adam":
-            state.adam_m = _load_params(data, "am.", extractor)
-            state.adam_v = _load_params(data, "av.", extractor)
+        try:
+            memory.load_state_dict(
+                {
+                    **{name: data[f"mem.{name}"] for name in _MEMORY_ARRAYS},
+                    "count": mem_meta.count,
+                    "seen": mem_meta.seen,
+                    "rng": mem_meta.rng,
+                }
+            )
+        except ValueError as exc:
+            # The message starts with the state key; name where it is stored.
+            key, _, reason = str(exc).partition(": ")
+            where = "mem." if key in _MEMORY_ARRAYS else "meta.memory."
+            raise ValueError(f"{where}{key}: {reason}") from exc
+
+        state = TrainState.create(cfg, extractor, memory, meta.guarded_memory)
+        if state.key_extractor is not None:
+            state.key_extractor.params = _load_params(data, "k.", extractor)
+        state.adam_m = _load_params(data, "am.", extractor)
+        state.adam_v = _load_params(data, "av.", extractor)
+        state.rng = rng_from_state(meta.rng, "meta.rng")
+        state.step = meta.step
         return state, meta.experiment_config

@@ -145,6 +145,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(tiny_config_dict(seeds=[3, 3]))
 
+    @pytest.mark.parametrize(
+        "field_name, value",
+        [
+            ("batch_size", 0),
+            ("d_out", 0),
+            ("hidden", 0),
+            ("negative_source", "queue"),
+            ("batch_size", 1),  # batch negatives need two anchors
+            ("tau", 0.0),
+            ("epsilon", 1.5),
+            ("memory_neg_count", 0),
+            ("momentum", 1.0),
+            ("lr", -0.1),
+            ("optimizer", "sgd"),
+            ("beta1", 1.0),
+            ("beta2", -0.5),
+            ("delta", 0.0),
+            ("steps", 0),
+        ],
+    )
+    def test_trainer_rejection_names_field(self, field_name, value):
+        raw = tiny_config_dict()
+        raw["trainer"][field_name] = value
+        with pytest.raises(ConfigError, match=rf"^trainer: .*\b{field_name}\b"):
+            parse_config(raw)
+
     def test_kernel_forms(self):
         raw = tiny_config_dict()
         raw["memory"]["kernel"] = {"form": "exp", "tau": 0.5}
@@ -386,8 +412,14 @@ class TestExportEmbeddings:
 
     @pytest.mark.parametrize(
         "path, value",
-        [("seed", "3"), ("seed", True), ("stream.d_in", 7)],
-        ids=["seed-string", "seed-bool", "d_in-differs"],
+        [
+            ("seed", "3"),
+            ("seed", True),
+            ("seed", -1),
+            ("stream.d_in", 7),
+            ("stream.d_in", "6"),
+        ],
+        ids=["seed-string", "seed-bool", "seed-negative", "d_in-differs", "d_in-string"],
     )
     def test_bad_experiment_config_names_field(self, tmp_path, capsys, path, value):
         out = tmp_path / "run"
@@ -434,6 +466,26 @@ class TestCli:
             check=True,
         )
         assert json.loads(done.stdout) == default_config_dict()
+
+    def test_closed_stdout_is_quiet(self):
+        # A reader that leaves early, as `duelmem show-config | head` does:
+        # here no reader exists, so the first write fails with EPIPE.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "duelmem", "show-config"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
 
     def test_run_writes_artifacts(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)

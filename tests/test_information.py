@@ -196,6 +196,14 @@ class TestHmlLoss:
                 hml_loss(d, kernel), oracle_hml(d, kernel), abs_tol=1e-12
             )
 
+    def test_zero_weight_class_is_rejected(self):
+        # Class 1 has no mass, so it has no class conditional to average over.
+        d = FiniteDistribution(
+            np.eye(3), np.array([0, 0, 1]), np.array([0.5, 0.5, 0.0])
+        )
+        with pytest.raises(ValueError, match="class 1 has zero weight"):
+            hml_loss(d, AffineCosine())
+
 
 class TestImbalanceLambda:
     def test_frozen_value(self):
@@ -253,3 +261,18 @@ class TestMhmlBound:
         want = lam * ih - id_mem + abs(id_mem - id_oracle)
         got = mhml_bound(emp, mem, oracle, kernel, rho_min, c)
         assert math.isclose(got, want, rel_tol=0, abs_tol=1e-10)
+
+    def test_zero_probability_positive_warns_and_is_infinite(self):
+        # Antipodal positives under the affine kernel: q = 0 exactly.
+        emb = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        d = FiniteDistribution.uniform(emb, np.array([0, 0, 1]))
+        with pytest.warns(InfiniteInformationWarning):
+            got = mhml_bound(d, d, d, AffineCosine(), 1.0 / 3.0, 2)
+        assert got == math.inf
+
+    def test_zero_weight_class_is_rejected(self):
+        d = FiniteDistribution(
+            np.eye(3), np.array([0, 0, 1]), np.array([0.5, 0.5, 0.0])
+        )
+        with pytest.raises(ValueError, match="class 1 has zero weight"):
+            mhml_bound(d, d, d, AffineCosine(), 0.5, 2)

@@ -354,7 +354,10 @@ CHECKPOINT_FAULTS = {
     "step_negative": (_set_meta(step=-5), "meta.step"),
     "step_above_steps": (_set_meta(step=6), "meta.step"),
     "rng_missing_state": (_set_meta(rng={"bit_generator": "PCG64"}), "meta.rng"),
-    "memory_rng_missing_state": (_set_memory_meta(rng={"bit_generator": "PCG64"}), "rng"),
+    "memory_rng_missing_state": (
+        _set_memory_meta(rng={"bit_generator": "PCG64"}),
+        "meta.memory.rng",
+    ),
     "experiment_config_list": (_set_meta(experiment_config=[]), "meta.experiment_config"),
     "version_1": (_set_meta(version=1), "meta.version"),
     "param_shape": (_truncate("q.W"), "q.W"),
@@ -467,6 +470,26 @@ class TestCheckpoint:
         out = str(tmp_path / "emb.csv")
         assert main(["export-embeddings", "--ckpt", str(path), "--out", out]) == USAGE_ERROR
         assert field_name in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "fault, path",
+        [
+            ("emb_shape", "mem.emb"),
+            ("labels_length", "mem.labels"),
+            ("steps_length", "mem.steps"),
+            ("wrong_scores", "mem.scores"),
+            ("count_above_capacity", "meta.memory.count"),
+            ("seen_below_count", "meta.memory.seen"),
+        ],
+    )
+    def test_memory_fault_names_stored_path(self, tmp_path, fault, path):
+        """The memory validates its state_dict; the checkpoint says where
+        each rejected entry is stored."""
+        ckpt = tmp_path / "ckpt.npz"
+        save_checkpoint(ckpt, _tiny_state())
+        _rewrite_checkpoint(ckpt, CHECKPOINT_FAULTS[fault][0])
+        with pytest.raises(ValueError, match=rf"^{re.escape(path)}:"):
+            load_checkpoint(ckpt)
 
     @pytest.mark.parametrize(
         "path, fault", META_FAULTS, ids=[p for p, _ in META_FAULTS]
