@@ -43,7 +43,6 @@ from .memory import (
 )
 from .metrics import (
     MetricsRow,
-    ProbeConfig,
     class_centroid,
     class_entropy,
     class_frequency_histogram,
@@ -113,7 +112,6 @@ __all__ = [
     "MemoryConfig",
     "MetricsRow",
     "POLICIES",
-    "ProbeConfig",
     "PushResult",
     "RunResult",
     "StepReport",

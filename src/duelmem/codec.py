@@ -4,7 +4,9 @@ The dataclasses are the schema: field names, types and defaults are read
 from them. A field typed as a tagged union is a JSON object whose tag key
 selects the class; a field typed `dict` is an object passed through as it
 is. Decoding refuses a mistyped, missing or unknown field with a
-ConfigError naming its dotted path.
+ConfigError naming its dotted path. A dataclass checks its values in
+__post_init__ and raises ValueError("<field>: <reason>"), the field named
+relative to itself; decoding prefixes the path of the section.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ _UNIONS = {
 _TAGS = {
     cls: {key: tag} for key, table in _UNIONS.values() for tag, cls in table.items()
 }
-# Stream seeds are derived from the run's seed, never configured.
-_NOT_IN_JSON = {"seed"}
 _EXPECTED = {
     bool: "a boolean", int: "an integer", float: "a number", str: "a string", dict: "an object"
 }
@@ -41,7 +41,7 @@ _EXPECTED = {
 def _json_fields(cls) -> tuple:
     """(field, resolved type) for each JSON field of a dataclass."""
     hints = typing.get_type_hints(cls)
-    return tuple((f, hints[f.name]) for f in fields(cls) if f.name not in _NOT_IN_JSON)
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
 def encode(value):
@@ -121,7 +121,5 @@ def _decode_section(cls, raw, path: str):
             raise ConfigError(f"{sub}: missing")
     try:
         return cls(**kwargs)
-    except ConfigError:
-        raise
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}" if path else str(exc)) from exc

@@ -18,7 +18,6 @@ from .kernels import AffineCosine, Kernel, LabelOracle, normalize
 from .memory import ActiveMemory, POLICIES
 from .metrics import (
     MetricsRow,
-    ProbeConfig,
     class_entropy,
     dominant_fraction,
     inter_class_similarity,
@@ -62,7 +61,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             if getattr(self, f.name) < 1:
-                raise ConfigError(f"eval.{f.name}: must be >= 1")
+                raise ValueError(f"{f.name}: must be >= 1")
 
 
 @dataclass
@@ -74,15 +73,14 @@ class MemoryConfig:
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
-            raise ConfigError("memory.capacity: must be >= 1")
+            raise ValueError("capacity: must be >= 1")
         if self.policy not in POLICIES:
-            raise ConfigError(
-                f"memory.policy: unknown policy {self.policy!r}; "
-                f"expected one of {POLICIES}"
+            raise ValueError(
+                f"policy: unknown policy {self.policy!r}; expected one of {POLICIES}"
             )
         if isinstance(self.kernel, LabelOracle):
-            raise ConfigError(
-                "memory.kernel.form: 'oracle' reads hidden labels; it is a test "
+            raise ValueError(
+                "kernel.form: 'oracle' reads hidden labels; it is a test "
                 "fixture, not a runnable config"
             )
 
@@ -98,9 +96,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if len(self.seeds) == 0:
-            raise ConfigError("seeds: must list at least one seed")
+            raise ValueError("seeds: must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError("seeds: trial seeds must be distinct")
+            raise ValueError("seeds: trial seeds must be distinct")
 
     def to_dict(self) -> dict:
         """The JSON form of this config; parse_config reads it back."""
@@ -156,9 +154,10 @@ def run_experiment(
     """
     ss_stream, ss_init, ss_neg, ss_mem, ss_eval = _child_seeds(seed, 5)
 
-    stream_cfg = replace(cfg.stream, seed=seed)
     stream = GaussianPairStream(
-        stream_cfg, seed=np.random.default_rng(ss_stream).integers(2**31)
+        cfg.stream,
+        seed=np.random.default_rng(ss_stream).integers(2**31),
+        means_seed=seed,
     )
 
     extractor = FeatureExtractor(
@@ -203,7 +202,6 @@ def run_experiment(
         json.dump({**cfg.to_dict(), "seed": seed}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    probe_cfg = ProbeConfig(steps=cfg.eval.probe_steps)
     rows: list[MetricsRow] = []
     mid_step = max(1, cfg.trainer.steps // 2)
     for _ in range(cfg.trainer.steps):
@@ -219,7 +217,7 @@ def run_experiment(
                     probe_train_y,
                     state.extractor.forward(probe_test_X),
                     probe_test_y,
-                    probe_cfg,
+                    steps=cfg.eval.probe_steps,
                 )
             rows.append(
                 MetricsRow(
@@ -291,15 +289,10 @@ def bench_policies(
             result = run_experiment(
                 run_cfg, seed, os.path.join(out_dir, f"{policy}_seed{seed}")
             )
-            final = result.final
             row = {
                 "policy": policy,
                 "seed": seed,
-                "class_entropy": final.class_entropy,
-                "v_intra": final.v_intra,
-                "s_inter": final.s_inter,
-                "dominant_frac": final.dominant_frac,
-                "probe_acc": final.probe_acc,
+                **{k: getattr(result.final, k) for k in BENCH_FIELDS[2:]},
             }
             per_seed.append(row)
             rows.append(row)
@@ -345,7 +338,7 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
             f"experiment_config.stream.d_in: {cfg.stream.d_in} differs from "
             f"the checkpoint's d_in {state.extractor.d_in}"
         )
-    stream = GaussianPairStream(replace(cfg.stream, seed=seed))
+    stream = GaussianPairStream(cfg.stream, means_seed=seed)
     if per_class == 0:
         write_embedding_csv(
             out_path, np.zeros((0, state.extractor.d_out)), labels=None

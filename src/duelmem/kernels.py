@@ -49,7 +49,7 @@ class ExponentialTemp:
 
     def __post_init__(self) -> None:
         if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+            raise ValueError("tau: must be > 0")
 
     def from_cosine(self, s: np.ndarray) -> np.ndarray:
         return self.from_cosine_inplace(np.array(s, dtype=np.float64))[()]

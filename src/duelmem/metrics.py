@@ -12,7 +12,6 @@ from .trainer import adam_step
 
 __all__ = [
     "MetricsRow",
-    "ProbeConfig",
     "class_centroid",
     "class_entropy",
     "class_frequency_histogram",
@@ -91,19 +90,9 @@ def dominant_fraction(labels: np.ndarray, dominant_class: int = 0) -> float:
     return float((labels == dominant_class).mean())
 
 
-@dataclass(frozen=True)
-class ProbeConfig:
-    lr: float = 1e-3
-    weight_decay: float = 1e-6
-    steps: int = 200
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0:
-            raise ValueError("lr must be > 0")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+# The linear probe's Adam step size and weight decay.
+PROBE_LR = 1e-3
+PROBE_WEIGHT_DECAY = 1e-6
 
 
 def linear_probe(
@@ -111,13 +100,15 @@ def linear_probe(
     train_y: np.ndarray,
     test_X: np.ndarray,
     test_y: np.ndarray,
-    config: ProbeConfig = ProbeConfig(),
+    steps: int = 200,
 ) -> float:
     """Accuracy of a multinomial-logistic readout on frozen features.
 
-    Full-batch Adam from zero weights; weight decay folded into the
-    gradient. Deterministic: no randomness anywhere.
+    steps of full-batch Adam from zero weights; weight decay folded into
+    the gradient. Deterministic: no randomness anywhere.
     """
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
     train_X = np.asarray(train_X, dtype=np.float64)
     test_X = np.asarray(test_X, dtype=np.float64)
     train_y = np.asarray(train_y)
@@ -137,16 +128,16 @@ def linear_probe(
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
 
-    for t in range(1, config.steps + 1):
+    for t in range(1, steps + 1):
         logits = train_X @ W.T + b
         logits -= logits.max(axis=1, keepdims=True)
         e = np.exp(logits)
         probs = e / e.sum(axis=1, keepdims=True)
         gap = (probs - onehot) / n
-        gW = gap.T @ train_X + config.weight_decay * W
+        gW = gap.T @ train_X + PROBE_WEIGHT_DECAY * W
         gb = gap.sum(axis=0)
         for p, g, (m, v) in zip((W, b), (gW, gb), moments):
-            adam_step(p, g, m, v, t, config.lr, beta1, beta2, eps)
+            adam_step(p, g, m, v, t, PROBE_LR, beta1, beta2, eps)
 
     pred = classes[np.argmax(test_X @ W.T + b, axis=1)]
     return float((pred == test_y).mean())

@@ -24,7 +24,6 @@ __all__ = [
     "StreamConfig",
     "class_cdf",
     "class_means",
-    "class_probs",
     "csv_row",
     "load_embedding_stream",
     "longtail_probs",
@@ -58,6 +57,10 @@ class LongTail:
 
     ratio: float = 10.0
 
+    def __post_init__(self) -> None:
+        if not self.ratio >= 1:
+            raise ValueError("ratio: must be >= 1")
+
     def probs(self, n_classes: int) -> np.ndarray:
         return longtail_probs(n_classes, self.ratio)
 
@@ -86,35 +89,37 @@ class StreamConfig:
     sigma: float = 0.35
     sigma_aug: float = 0.35
     imbalance: Imbalance = Dominant()
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.n_classes < 1:
-            raise ValueError("n_classes must be >= 1")
+            raise ValueError("n_classes: must be >= 1")
         if self.d_in < 1:
-            raise ValueError("d_in must be >= 1")
-        if self.separation <= 0:
-            raise ValueError("separation must be > 0")
-        if self.sigma < 0 or self.sigma_aug < 0:
-            raise ValueError("noise scales must be >= 0")
-        self.imbalance.probs(self.n_classes)  # validates the profile
+            raise ValueError("d_in: must be >= 1")
+        if not self.separation > 0:
+            raise ValueError("separation: must be > 0")
+        if self.sigma < 0:
+            raise ValueError("sigma: must be >= 0")
+        if self.sigma_aug < 0:
+            raise ValueError("sigma_aug: must be >= 0")
+        # A LongTail checks its ratio itself; the bounds of a dominant share
+        # depend on the class count.
+        if isinstance(self.imbalance, Dominant) and not (
+            1.0 / self.n_classes <= self.imbalance.rho_max < 1.0
+        ):
+            raise ValueError("imbalance.rho_max: must lie in [1/n_classes, 1)")
 
     def probs(self) -> np.ndarray:
         return self.imbalance.probs(self.n_classes)
 
 
-def class_probs(cfg: StreamConfig) -> np.ndarray:
-    return cfg.probs()
-
-
-def class_means(cfg: StreamConfig) -> np.ndarray:
-    """Class mean directions scaled by the separation radius.
+def class_means(cfg: StreamConfig, seed: int = 0) -> np.ndarray:
+    """Class mean directions scaled by the separation radius; seed picks them.
 
     Orthonormal via QR when the ambient dimension allows it, otherwise
     independent random unit directions.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xC1A55]))
-    raw = rng.normal(size=(cfg.d_in, max(cfg.n_classes, 1)))
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC1A55]))
+    raw = rng.normal(size=(cfg.d_in, cfg.n_classes))
     if cfg.d_in >= cfg.n_classes:
         q, r = np.linalg.qr(raw[:, : cfg.n_classes])
         signs = np.sign(np.diag(r))
@@ -166,16 +171,17 @@ def sample_pair(
 class GaussianPairStream:
     """Stateful sampler with cached class means and CDF.
 
+    seed seeds the draws and means_seed the class means (see class_means).
     sample_batch consumes the generator exactly as repeated sample_pair calls
     would, so its batches equal theirs byte for byte.
     """
 
-    def __init__(self, cfg: StreamConfig, seed: int | None = None):
+    def __init__(self, cfg: StreamConfig, seed: int = 0, means_seed: int = 0):
         self.cfg = cfg
-        self.means = class_means(cfg)
+        self.means = class_means(cfg, means_seed)
         self.cdf = class_cdf(cfg)
         self._cdf = self.cdf.tolist()  # bisect on a list beats searchsorted per draw
-        self.rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        self.rng = np.random.default_rng(seed)
 
     def sample_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d = self.cfg.d_in

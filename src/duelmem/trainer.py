@@ -67,35 +67,34 @@ class TrainerConfig:
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ValueError("batch_size: must be >= 1")
         if self.d_out < 1:
-            raise ValueError("d_out must be >= 1")
+            raise ValueError("d_out: must be >= 1")
         if self.hidden is not None and self.hidden < 1:
-            raise ValueError("hidden must be >= 1 when given")
+            raise ValueError("hidden: must be >= 1 when given")
         if self.negative_source not in NEGATIVE_SOURCES:
-            raise ValueError(
-                f"negative_source must be one of {NEGATIVE_SOURCES}"
-            )
+            raise ValueError(f"negative_source: must be one of {NEGATIVE_SOURCES}")
         if self.negative_source != "memory_only" and self.batch_size < 2:
-            raise ValueError("batch negatives need batch_size >= 2")
+            raise ValueError("batch_size: must be >= 2 for batch negatives")
         if not self.tau > 0:
-            raise ValueError("tau must be > 0")
+            raise ValueError("tau: must be > 0")
         if not 0 <= self.epsilon <= 1:
-            raise ValueError("epsilon must lie in [0, 1]")
+            raise ValueError("epsilon: must lie in [0, 1]")
         if self.negative_source != "batch_only" and self.memory_neg_count < 1:
-            raise ValueError("memory_neg_count must be >= 1")
+            raise ValueError("memory_neg_count: must be >= 1")
         if self.momentum is not None and not 0 <= self.momentum < 1:
-            raise ValueError("momentum must lie in [0, 1) or be None")
+            raise ValueError("momentum: must lie in [0, 1) or be None")
         if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+            raise ValueError("lr: must be >= 0")
         if self.optimizer != "adam":
-            raise ValueError("optimizer must be 'adam'")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+            raise ValueError("optimizer: must be 'adam'")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name}: must lie in [0, 1)")
         if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+            raise ValueError("delta: must be > 0")
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError("steps: must be >= 1")
 
 
 class FeatureExtractor:
@@ -336,29 +335,24 @@ def _embed_loss_grads(
     X: np.ndarray,
     X_pos: np.ndarray,
     mem_negs: np.ndarray | None,
-    tau: float,
-    epsilon: float,
-    source: str,
-) -> tuple[float, dict, np.ndarray, np.ndarray]:
-    """(loss, grads, anchor embeddings, embeddings to push into memory)."""
+    config: TrainerConfig,
+) -> tuple[float, dict, np.ndarray]:
+    """(loss, grads, embeddings to push into memory)."""
     Z, cache_a = extractor.forward_cached(X)
+    args = (mem_negs, config.tau, config.epsilon, config.negative_source)
     if key_extractor is not None:
         P = key_extractor.forward(X_pos)
         push_emb = key_extractor.forward(X)
-        loss, dZ, _ = batched_infonce(
-            Z, P, mem_negs, tau, epsilon, source, positives_trainable=False
-        )
+        loss, dZ, _ = batched_infonce(Z, P, *args, positives_trainable=False)
         grads = extractor.backward(cache_a, dZ)
     else:
         P, cache_p = extractor.forward_cached(X_pos)
         push_emb = Z
-        loss, dZ, dP = batched_infonce(
-            Z, P, mem_negs, tau, epsilon, source, positives_trainable=True
-        )
+        loss, dZ, dP = batched_infonce(Z, P, *args, positives_trainable=True)
         grads = extractor.backward(cache_a, dZ)
         grads_p = extractor.backward(cache_p, dP)
         grads = {k: grads[k] + grads_p[k] for k in grads}
-    return loss, grads, Z, push_emb
+    return loss, grads, push_emb
 
 
 def infonce_grad(
@@ -376,15 +370,8 @@ def infonce_grad(
     Positives contribute gradients only when key_extractor is None, i.e.
     when they are embedded by the trainable extractor itself.
     """
-    loss, grads, _, _ = _embed_loss_grads(
-        extractor,
-        key_extractor,
-        X,
-        X_pos,
-        negatives,
-        config.tau,
-        config.epsilon,
-        config.negative_source,
+    loss, grads, _ = _embed_loss_grads(
+        extractor, key_extractor, X, X_pos, negatives, config
     )
     return loss, grads
 
@@ -409,15 +396,8 @@ def train_step(
     if cfg.negative_source in ("memory_only", "mixed"):
         mem_negs = state.memory.sample_negatives(cfg.memory_neg_count, state.rng)
 
-    loss, grads, _, push_emb = _embed_loss_grads(
-        state.extractor,
-        state.key_extractor,
-        X,
-        X_pos,
-        mem_negs,
-        cfg.tau,
-        cfg.epsilon,
-        cfg.negative_source,
+    loss, grads, push_emb = _embed_loss_grads(
+        state.extractor, state.key_extractor, X, X_pos, mem_negs, cfg
     )
     _apply_gradients(state, grads, lr)
     if state.key_extractor is not None:

@@ -637,10 +637,8 @@ def check_stream_profiles(quick: bool) -> tuple[bool, str]:
     if abs(two[0] - 0.8) > 1e-12:
         return False, "2-class ratio 4 should give (0.8, 0.2)"
 
-    cfg = StreamConfig(
-        n_classes=4, d_in=6, separation=2.0, sigma=0.0, sigma_aug=0.0, seed=1
-    )
-    stream = GaussianPairStream(cfg, seed=2)
+    cfg = StreamConfig(n_classes=4, d_in=6, separation=2.0, sigma=0.0, sigma_aug=0.0)
+    stream = GaussianPairStream(cfg, seed=2, means_seed=1)
     X, Xp, labels = stream.sample_batch(64)
     means = stream.means
     if np.max(np.abs(X - means[labels])) > 1e-12:

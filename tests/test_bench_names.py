@@ -1,4 +1,5 @@
-"""The names the benchmark's tracer patches must exist where it looks them up."""
+"""What the benchmark uses of the package must exist: the names its tracer
+patches, and the config fields its train workloads set."""
 
 from __future__ import annotations
 
@@ -7,15 +8,22 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from duelmem.harness import parse_config
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(monkeypatch, name: str):
+    """bench/<name>.py as a module, without writing bytecode next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_tracer_targets_resolve(monkeypatch):
-    # Load the tracer without writing bytecode next to it, and install nothing.
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load(monkeypatch, "tracer")  # installs nothing
     for module_name, path, _, _ in tracer.TARGETS:
         # The lookup Tracer.install makes before it patches a name.
         owner = importlib.import_module(module_name)
@@ -23,3 +31,11 @@ def test_tracer_targets_resolve(monkeypatch):
         for part in outer:
             owner = getattr(owner, part)
         assert attr in owner.__dict__, f"{module_name}.{path}"
+
+
+def test_train_configs_parse(monkeypatch):
+    # child.py imports its oracle by plain name, from bench/ on sys.path.
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = _load(monkeypatch, "child")
+    for workload in child.TRAIN_STEPS:
+        parse_config(child.train_config(workload))

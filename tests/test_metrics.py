@@ -11,7 +11,6 @@ from duelmem.kernels import normalize
 from duelmem.metrics import (
     METRICS_FIELDS,
     MetricsRow,
-    ProbeConfig,
     class_centroid,
     class_entropy,
     class_frequency_histogram,
@@ -140,18 +139,14 @@ class TestLinearProbe:
             linear_probe(emb, np.zeros(3, dtype=np.int64), emb, np.zeros(3))
 
     def test_probe_config_validation(self):
+        emb = np.eye(2)
         with pytest.raises(ValueError):
-            ProbeConfig(lr=0.0)
-        with pytest.raises(ValueError):
-            ProbeConfig(steps=0)
-        with pytest.raises(ValueError):
-            ProbeConfig(weight_decay=-1.0)
+            linear_probe(emb, np.arange(2), emb, np.arange(2), steps=0)
 
     def test_more_steps_does_not_hurt_separable(self):
         emb = np.vstack([np.eye(2)[c] for c in [0, 1] * 8])
         labels = np.tile(np.arange(2), 8)
-        cfg = ProbeConfig(steps=400)
-        assert linear_probe(emb, labels, emb, labels, cfg) == 1.0
+        assert linear_probe(emb, labels, emb, labels, steps=400) == 1.0
 
 
 class TestMetricsRow:

@@ -14,7 +14,6 @@ from duelmem.streams import (
     LongTail,
     StreamConfig,
     class_means,
-    class_probs,
     csv_row,
     load_embedding_stream,
     longtail_probs,
@@ -62,7 +61,7 @@ class TestImbalanceProfiles:
 
     def test_longtail_profile_object(self):
         cfg = StreamConfig(n_classes=4, imbalance=LongTail(8.0))
-        assert np.allclose(class_probs(cfg), longtail_probs(4, 8.0))
+        assert np.allclose(cfg.probs(), longtail_probs(4, 8.0))
 
 
 class TestStreamConfig:
@@ -86,10 +85,9 @@ class TestStreamConfig:
         assert np.allclose(np.linalg.norm(M, axis=1), 1.5, atol=1e-9)
 
     def test_means_deterministic_per_seed(self):
-        cfg = StreamConfig(n_classes=4, d_in=6, seed=5)
-        assert np.array_equal(class_means(cfg), class_means(cfg))
-        other = StreamConfig(n_classes=4, d_in=6, seed=6)
-        assert not np.array_equal(class_means(cfg), class_means(other))
+        cfg = StreamConfig(n_classes=4, d_in=6)
+        assert np.array_equal(class_means(cfg, 5), class_means(cfg, 5))
+        assert not np.array_equal(class_means(cfg, 5), class_means(cfg, 6))
 
 
 class TestSampling:
@@ -109,9 +107,9 @@ class TestSampling:
             assert np.array_equal(x_pos, x)
 
     def test_pair_noise_scales(self):
-        cfg = StreamConfig(n_classes=2, d_in=8, sigma=0.5, sigma_aug=0.05, seed=2)
+        cfg = StreamConfig(n_classes=2, d_in=8, sigma=0.5, sigma_aug=0.05)
         rng = np.random.default_rng(3)
-        means = class_means(cfg)
+        means = class_means(cfg, 2)
         gaps, augs = [], []
         for _ in range(4000):
             x, x_pos, c = sample_pair(cfg, rng, means)
