@@ -118,8 +118,7 @@ def pair_scores(
         ly = np.asarray(labels_y).reshape(1, -1)
         return (lx == ly).astype(np.float64)
     s = X @ Y.T
-    np.minimum(s, 1.0, out=s)
-    np.maximum(s, -1.0, out=s)
+    s.clip(-1.0, 1.0, out=s)
     return kernel.from_cosine_inplace(s)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .kernels import normalize
 from .streams import csv_row
-from .trainer import adam_step
+from .trainer import FlatParams, adam_step
 
 __all__ = [
     "MetricsRow",
@@ -121,9 +121,13 @@ def linear_probe(
     n, d = train_X.shape
     k = classes.size
 
-    W = np.zeros((k, d))
-    b = np.zeros(k)
-    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in (W, b)]
+    # W and b share one buffer, as do their gradients and Adam moments, so
+    # each probe step is one adam_step call.
+    params = FlatParams({"W": (k, d), "b": (k,)})
+    W, b = params["W"], params["b"]
+    grads = params.empty_like()
+    gW, gb = grads["W"], grads["b"]
+    m, v = params.zeros_like(), params.zeros_like()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
@@ -134,10 +138,10 @@ def linear_probe(
         e = np.exp(logits)
         probs = e / e.sum(axis=1, keepdims=True)
         gap = (probs - onehot) / n
-        gW = gap.T @ train_X + PROBE_WEIGHT_DECAY * W
-        gb = gap.sum(axis=0)
-        for p, g, (m, v) in zip((W, b), (gW, gb), moments):
-            adam_step(p, g, m, v, t, PROBE_LR, beta1, beta2, eps)
+        np.matmul(gap.T, train_X, out=gW)
+        gW += PROBE_WEIGHT_DECAY * W
+        np.add.reduce(gap, axis=0, out=gb)
+        adam_step(params.flat, grads.flat, m.flat, v.flat, t, PROBE_LR, beta1, beta2, eps)
 
     pred = classes[np.argmax(test_X @ W.T + b, axis=1)]
     return float((pred == test_y).mean())

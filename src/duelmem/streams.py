@@ -186,13 +186,16 @@ class GaussianPairStream:
     def sample_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d = self.cfg.d_in
         # Per sample: one uniform for the class, then x's and x+'s noise in
-        # one normal draw of 2d, as sample_pair draws them.
+        # one normal draw of 2d, as sample_pair draws them. standard_normal
+        # writes the row in place; rng.normal(0, 1) returns 0.0 + 1.0 * z for
+        # the same z, so the bytes agree except for a -0.0 draw (probability
+        # 2**-52), which means + sigma * noise turns into the same sum.
         noise = np.empty((n, 2 * d))
         labels = np.empty(n, dtype=np.int64)
-        cdf, uniform, normal = self._cdf, self.rng.random, self.rng.normal
+        cdf, uniform, normal = self._cdf, self.rng.random, self.rng.standard_normal
         for i in range(n):
             labels[i] = bisect_right(cdf, uniform())
-            noise[i] = normal(size=2 * d)
+            normal(out=noise[i])
         X = self.means[labels] + self.cfg.sigma * noise[:, :d]
         Xp = X + self.cfg.sigma_aug * noise[:, d:]
         return X, Xp, labels

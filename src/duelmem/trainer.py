@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .memory import ActiveMemory, PushResult, guarded_update, rng_from_state
 
 __all__ = [
     "FeatureExtractor",
+    "FlatParams",
     "NEGATIVE_SOURCES",
     "StepReport",
     "TrainState",
@@ -97,8 +99,67 @@ class TrainerConfig:
             raise ValueError("steps: must be >= 1")
 
 
+class FlatParams(Mapping):
+    """Named float64 arrays held as reshaped views into one contiguous
+    buffer, `flat`, so one numpy call updates all of them.
+
+    Item assignment copies into the existing view and refuses another shape,
+    so no array ever leaves the buffer. Elementwise arithmetic on `flat`
+    gives each element the bytes it gets array by array.
+    """
+
+    __slots__ = ("flat", "_views")
+
+    def __init__(self, shapes: dict, flat: np.ndarray | None = None):
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self._views = {}
+        start = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            self._views[name] = self.flat[start : start + size].reshape(shape)
+            start += size
+
+    @classmethod
+    def of(cls, arrays: dict) -> "FlatParams":
+        """A FlatParams holding copies of arrays, laid out in their order."""
+        params = cls({name: np.shape(value) for name, value in arrays.items()})
+        for name, value in arrays.items():
+            params[name] = value
+        return params
+
+    @property
+    def shapes(self) -> dict:
+        return {name: view.shape for name, view in self._views.items()}
+
+    def zeros_like(self) -> "FlatParams":
+        return FlatParams(self.shapes)
+
+    def empty_like(self) -> "FlatParams":
+        return FlatParams(self.shapes, np.empty_like(self.flat))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self._views[name]
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ValueError(f"{name}: expected shape {view.shape}, got {value.shape}")
+        view[...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
 class FeatureExtractor:
-    """x -> g(x)/|g(x)| with g affine or affine-tanh-affine."""
+    """x -> g(x)/|g(x)| with g affine or affine-tanh-affine.
+
+    params is a FlatParams, so the parameters share one buffer; backward
+    returns its gradients in a buffer of the same layout.
+    """
 
     def __init__(self, d_in: int, d_out: int, hidden: int | None = None, seed: int = 0):
         if d_in < 1 or d_out < 1:
@@ -110,65 +171,80 @@ class FeatureExtractor:
         self.hidden = hidden
         rng = np.random.default_rng(seed)
         if hidden is None:
-            self.params = {
+            self.params = FlatParams.of({
                 "W": rng.normal(0.0, 1.0 / math.sqrt(d_in), (d_out, d_in)),
                 "b": np.zeros(d_out),
-            }
+            })
         else:
-            self.params = {
+            self.params = FlatParams.of({
                 "W1": rng.normal(0.0, 1.0 / math.sqrt(d_in), (hidden, d_in)),
                 "b1": np.zeros(hidden),
                 "W2": rng.normal(0.0, 1.0 / math.sqrt(hidden), (d_out, hidden)),
                 "b2": np.zeros(d_out),
-            }
+            })
 
     def clone(self) -> "FeatureExtractor":
         twin = FeatureExtractor(self.d_in, self.d_out, self.hidden)
-        twin.params = {k: v.copy() for k, v in self.params.items()}
+        twin.params.flat[:] = self.params.flat
         return twin
 
     def forward_cached(self, X: np.ndarray):
+        # Adds, tanh and the division run in place on the matmul outputs.
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        p = self.params
         if self.hidden is None:
-            U = X @ self.params["W"].T + self.params["b"]
+            U = X @ p["W"].T
+            U += p["b"]
             H = None
         else:
-            H = np.tanh(X @ self.params["W1"].T + self.params["b1"])
-            U = H @ self.params["W2"].T + self.params["b2"]
-        norms = np.linalg.norm(U, axis=1, keepdims=True)
+            H = X @ p["W1"].T
+            H += p["b1"]
+            np.tanh(H, out=H)
+            U = H @ p["W2"].T
+            U += p["b2"]
+        # np.linalg.norm's own formula for real rows, without its copies.
+        norms = np.sqrt(np.add.reduce(U * U, axis=1, keepdims=True))
         if np.any(norms == 0.0):
             raise ValueError("extractor produced a zero vector; cannot normalize")
-        Z = U / norms
-        return Z, {"X": X, "H": H, "Z": Z, "norms": norms}
+        U /= norms
+        return U, {"X": X, "H": H, "Z": U, "norms": norms}
 
     def forward(self, X: np.ndarray) -> np.ndarray:
         return self.forward_cached(X)[0]
 
-    def backward(self, cache: dict, dZ: np.ndarray) -> dict:
+    def backward(self, cache: dict, dZ: np.ndarray) -> FlatParams:
         """Gradients of a scalar loss given dL/dZ at the cached forward."""
         Z, norms, X = cache["Z"], cache["norms"], cache["X"]
+        grads = self.params.empty_like()
         # Unit-sphere projection: dU = (dZ - (z . dZ) z) / |u| per row.
-        dU = (dZ - (Z * dZ).sum(axis=1, keepdims=True) * Z) / norms
+        dU = (Z * dZ).sum(axis=1, keepdims=True) * Z
+        np.subtract(dZ, dU, out=dU)
+        dU /= norms
         if self.hidden is None:
-            return {"W": dU.T @ X, "b": dU.sum(axis=0)}
+            np.matmul(dU.T, X, out=grads["W"])
+            np.add.reduce(dU, axis=0, out=grads["b"])
+            return grads
         H = cache["H"]
-        dH = dU @ self.params["W2"]
-        dA = dH * (1.0 - H * H)
-        return {
-            "W1": dA.T @ X,
-            "b1": dA.sum(axis=0),
-            "W2": dU.T @ H,
-            "b2": dU.sum(axis=0),
-        }
+        dA = dU @ self.params["W2"]
+        tanh_grad = H * H
+        np.subtract(1.0, tanh_grad, out=tanh_grad)
+        dA *= tanh_grad
+        np.matmul(dA.T, X, out=grads["W1"])
+        np.add.reduce(dA, axis=0, out=grads["b1"])
+        np.matmul(dU.T, H, out=grads["W2"])
+        np.add.reduce(dU, axis=0, out=grads["b2"])
+        return grads
 
 
-def momentum_update(key_params: dict, query_params: dict, m: float) -> None:
-    """key <- m * key + (1 - m) * query, in place. m=1 leaves key frozen."""
+def momentum_update(key_params: FlatParams, query_params: FlatParams, m: float) -> None:
+    """key <- m * key + (1 - m) * query, in place, as one blend of the two
+    buffers. m=1 leaves key frozen."""
     if not 0 <= m <= 1:
         raise ValueError("momentum must lie in [0, 1]")
-    for k in key_params:
-        key_params[k] *= m
-        key_params[k] += (1.0 - m) * query_params[k]
+    if key_params.shapes != query_params.shapes:
+        raise ValueError("key and query parameters must have the same layout")
+    key_params.flat *= m
+    key_params.flat += (1.0 - m) * query_params.flat
 
 
 def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
@@ -228,27 +304,31 @@ def batched_infonce(
     if use_mem and (mem_negs is None or mem_negs.shape[0] == 0):
         raise ValueError("memory negatives requested but none provided")
 
+    # The divide, shift, exp and weight normalisation run in place on the
+    # logit matrices the matmuls allocate; each element takes the same
+    # operations in the same order as with fresh arrays.
     lp = (Z * P).sum(axis=1) / tau
     m = lp.copy() if epsilon > 0 else np.full(B, -np.inf)
-    Lb = Eb = Lm = Em = None
+    Eb = Em = None
     if use_batch:
-        Lb = (Z @ Z.T) / tau
-        np.fill_diagonal(Lb, -np.inf)
-        m = np.maximum(m, Lb.max(axis=1))
+        Eb = Z @ Z.T
+        Eb /= tau
+        np.fill_diagonal(Eb, -np.inf)
+        np.maximum(m, Eb.max(axis=1), out=m)
     if use_mem:
-        Lm = (Z @ mem_negs.T) / tau
-        m = np.maximum(m, Lm.max(axis=1))
+        Em = Z @ mem_negs.T
+        Em /= tau
+        np.maximum(m, Em.max(axis=1), out=m)
 
     denom = np.zeros(B)
     Ep = np.exp(lp - m)
     if epsilon > 0:
         denom += epsilon * Ep
-    if use_batch:
-        Eb = np.exp(Lb - m[:, None])
-        denom += Eb.sum(axis=1)
-    if use_mem:
-        Em = np.exp(Lm - m[:, None])
-        denom += Em.sum(axis=1)
+    for E in (Eb, Em):
+        if E is not None:
+            E -= m[:, None]
+            np.exp(E, out=E)
+            denom += E.sum(axis=1)
 
     losses = -lp + m + np.log(denom)
     loss = float(losses.mean())
@@ -257,11 +337,11 @@ def batched_infonce(
     w_pos = (epsilon * Ep / denom) - 1.0
     dZ = scale * w_pos[:, None] * P
     if use_batch:
-        Wb = Eb / denom[:, None]
-        dZ += scale * (Wb @ Z + Wb.T @ Z)
+        Eb /= denom[:, None]
+        dZ += scale * (Eb @ Z + Eb.T @ Z)
     if use_mem:
-        Wm = Em / denom[:, None]
-        dZ += scale * (Wm @ mem_negs)
+        Em /= denom[:, None]
+        dZ += scale * (Em @ mem_negs)
     dP = scale * w_pos[:, None] * Z if positives_trainable else None
     return loss, dZ, dP
 
@@ -282,8 +362,8 @@ class TrainState:
     key_extractor: FeatureExtractor | None
     memory: ActiveMemory
     rng: np.random.Generator
-    adam_m: dict
-    adam_v: dict
+    adam_m: FlatParams
+    adam_v: FlatParams
     step: int = 0
     guarded_memory: bool = False
 
@@ -303,8 +383,8 @@ class TrainState:
             key_extractor=extractor.clone() if config.momentum is not None else None,
             memory=memory,
             rng=np.random.default_rng(seed),
-            adam_m={k: np.zeros_like(v) for k, v in extractor.params.items()},
-            adam_v={k: np.zeros_like(v) for k, v in extractor.params.items()},
+            adam_m=extractor.params.zeros_like(),
+            adam_v=extractor.params.zeros_like(),
             guarded_memory=guarded_memory,
         )
 
@@ -322,11 +402,14 @@ def adam_step(
     param -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
 
 
-def _apply_gradients(state: TrainState, grads: dict, lr: float) -> None:
-    cfg, t = state.config, state.step + 1
-    for k, param in state.extractor.params.items():
-        m, v = state.adam_m[k], state.adam_v[k]
-        adam_step(param, grads[k], m, v, t, lr, cfg.beta1, cfg.beta2, cfg.delta)
+def _apply_gradients(state: TrainState, grads: FlatParams, lr: float) -> None:
+    """One Adam step over the whole flat buffer: the update is elementwise,
+    so each parameter gets the bytes a per-array step would give it."""
+    cfg = state.config
+    adam_step(
+        state.extractor.params.flat, grads.flat, state.adam_m.flat, state.adam_v.flat,
+        state.step + 1, lr, cfg.beta1, cfg.beta2, cfg.delta,
+    )
 
 
 def _embed_loss_grads(
@@ -336,7 +419,7 @@ def _embed_loss_grads(
     X_pos: np.ndarray,
     mem_negs: np.ndarray | None,
     config: TrainerConfig,
-) -> tuple[float, dict, np.ndarray]:
+) -> tuple[float, FlatParams, np.ndarray]:
     """(loss, grads, embeddings to push into memory)."""
     Z, cache_a = extractor.forward_cached(X)
     args = (mem_negs, config.tau, config.epsilon, config.negative_source)
@@ -350,8 +433,7 @@ def _embed_loss_grads(
         push_emb = Z
         loss, dZ, dP = batched_infonce(Z, P, *args, positives_trainable=True)
         grads = extractor.backward(cache_a, dZ)
-        grads_p = extractor.backward(cache_p, dP)
-        grads = {k: grads[k] + grads_p[k] for k in grads}
+        grads.flat += extractor.backward(cache_p, dP).flat
     return loss, grads, push_emb
 
 
@@ -362,7 +444,7 @@ def infonce_grad(
     negatives: np.ndarray | None,
     config: TrainerConfig,
     key_extractor: FeatureExtractor | None = None,
-) -> tuple[float, dict]:
+) -> tuple[float, FlatParams]:
     """Mean InfoNCE loss over the batch and its gradient w.r.t. extractor
     parameters.
 
@@ -505,20 +587,18 @@ def save_checkpoint(path, state: TrainState, experiment_config: dict | None = No
         np.savez(fh, **arrays)
 
 
-def _load_params(data, prefix: str, template: FeatureExtractor) -> dict:
-    """Arrays under prefix, checked against the template's keys and shapes."""
+def _load_params(data, prefix: str, target: FlatParams) -> None:
+    """Copy the arrays under prefix into target, checked against its keys
+    and shapes."""
     params = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
-    if set(params) != set(template.params):
+    if set(params) != set(target):
         raise ValueError(
-            f"{prefix}*: expected parameters {sorted(template.params)}, "
-            f"got {sorted(params)}"
+            f"{prefix}*: expected parameters {sorted(target)}, got {sorted(params)}"
         )
     for k, v in params.items():
-        if v.shape != template.params[k].shape:
-            raise ValueError(
-                f"{prefix}{k}: expected shape {template.params[k].shape}, got {v.shape}"
-            )
-    return params
+        if v.shape != target[k].shape:
+            raise ValueError(f"{prefix}{k}: expected shape {target[k].shape}, got {v.shape}")
+        target[k] = v
 
 
 def load_checkpoint(path) -> tuple[TrainState, dict | None]:
@@ -530,7 +610,7 @@ def load_checkpoint(path) -> tuple[TrainState, dict | None]:
         if not 0 <= meta.step <= cfg.steps:
             raise ValueError(f"meta.step: {meta.step} outside [0, {cfg.steps}]")
         extractor = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
-        extractor.params = _load_params(data, "q.", extractor)
+        _load_params(data, "q.", extractor.params)
 
         mem_meta = meta.memory
         memory = ActiveMemory(
@@ -553,9 +633,9 @@ def load_checkpoint(path) -> tuple[TrainState, dict | None]:
 
         state = TrainState.create(cfg, extractor, memory, meta.guarded_memory)
         if state.key_extractor is not None:
-            state.key_extractor.params = _load_params(data, "k.", extractor)
-        state.adam_m = _load_params(data, "am.", extractor)
-        state.adam_v = _load_params(data, "av.", extractor)
+            _load_params(data, "k.", state.key_extractor.params)
+        _load_params(data, "am.", state.adam_m)
+        _load_params(data, "av.", state.adam_v)
         state.rng = rng_from_state(meta.rng, "meta.rng")
         state.step = meta.step
         return state, meta.experiment_config

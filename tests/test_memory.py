@@ -620,6 +620,40 @@ class TestSettle:
         _, events = _push_matches_naive(members, np.array(batch), kernel)
         assert _settled(events, members.shape[0]) == settled
 
+    @pytest.mark.parametrize(
+        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
+    )
+    def test_carried_start_changes_no_bytes(self, kernel):
+        # Two hub batches, in which every row but the last settles, then a
+        # batch of copies of held rows, which keeps every row once the memory
+        # has settled into its pattern. A push opens with a block as long as
+        # the previous push's last run, so after a 63-row run the copy batch
+        # computes a full block of which it reads one row. The twin memory
+        # forgets the carried length before every push and climbs from one row.
+        rng = np.random.default_rng(41)
+        k, z = 64, 8
+        centre = normalize(rng.normal(size=z))
+        emb = normalize(centre + 0.5 * rng.normal(size=(k, z)))
+        carried, fresh = (ActiveMemory.from_arrays(emb, kernel=kernel) for _ in range(2))
+        slow = NaiveDuel(emb, kernel=kernel)
+        seen = []
+        for p in range(45):
+            if p % 3 == 2:
+                held = np.delete(carried.embeddings, carried.duel_select_by_score(), axis=0)
+                batch = held[rng.permutation(k - 1)]
+            else:
+                batch = np.tile(normalize(carried.embeddings.sum(axis=0)), (k, 1))
+            start = carried._settle_run
+            fresh._settle_run = 0
+            events = carried.push_batch(batch)
+            assert events == fresh.push_batch(batch), f"push {p}"
+            assert events == slow.push_batch(batch), f"push {p}"
+            assert carried._scores.tobytes() == fresh._scores.tobytes(), f"push {p}"
+            assert np.array_equal(carried.embeddings, slow.embeddings)
+            seen.append((start, len(_settled(events, k))))
+        assert seen.count((63, 63)) >= 8  # opened with a block that all settled
+        assert seen.count((63, 0)) >= 8  # opened with a block nothing settled in
+
     @pytest.mark.parametrize("width", [320, 4160])
     def test_vecdot_rows_equal_row_dot_products(self, width):
         # A block takes its rows' masked sums from one np.vecdot; the

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
@@ -15,8 +16,10 @@ from duelmem.kernels import KERNEL_FORMS, AffineCosine, ExponentialTemp, normali
 from duelmem.memory import ActiveMemory
 from duelmem.trainer import (
     FeatureExtractor,
+    FlatParams,
     TrainState,
     TrainerConfig,
+    adam_step,
     batched_infonce,
     cosine_lr,
     infonce_grad,
@@ -160,25 +163,25 @@ class TestGradients:
 
 class TestMomentumUpdate:
     def test_m_zero_copies_query(self):
-        key = {"W": np.array([1.0, 2.0])}
-        query = {"W": np.array([5.0, 6.0])}
+        key = FlatParams.of({"W": np.array([1.0, 2.0])})
+        query = FlatParams.of({"W": np.array([5.0, 6.0])})
         momentum_update(key, query, 0.0)
         assert np.array_equal(key["W"], query["W"])
 
     def test_m_one_freezes_key(self):
-        key = {"W": np.array([1.0, 2.0])}
-        momentum_update(key, {"W": np.array([9.0, 9.0])}, 1.0)
+        key = FlatParams.of({"W": np.array([1.0, 2.0])})
+        momentum_update(key, FlatParams.of({"W": np.array([9.0, 9.0])}), 1.0)
         assert np.array_equal(key["W"], [1.0, 2.0])
 
     def test_scalar_blend(self):
-        key = {"W": np.array([1.0])}
-        momentum_update(key, {"W": np.array([0.0])}, 0.9)
+        key = FlatParams.of({"W": np.array([1.0])})
+        momentum_update(key, FlatParams.of({"W": np.array([0.0])}), 0.9)
         assert math.isclose(float(key["W"][0]), 0.9, abs_tol=1e-15)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             momentum_update(
-                {"W": np.zeros(2)}, {"W": np.zeros(3)}, 0.5
+                FlatParams.of({"W": np.zeros(2)}), FlatParams.of({"W": np.zeros(3)}), 0.5
             )
 
 
@@ -419,6 +422,97 @@ def _meta_faults() -> list:
 META_FAULTS = _meta_faults()
 
 
+def _state_bytes(state) -> dict:
+    """Every parameter, key parameter, Adam moment and the memory
+    embeddings of a state, as bytes."""
+    groups = {"q": state.extractor.params, "m": state.adam_m, "v": state.adam_v}
+    if state.key_extractor is not None:
+        groups["k"] = state.key_extractor.params
+    out = {f"{g}.{k}": v[k].tobytes() for g, v in groups.items() for k in v}
+    out["memory"] = state.memory.embeddings.tobytes()
+    return out
+
+
+class TestFlatParams:
+    """The extractor's parameters, and the state's Adam moments, are views
+    into one buffer each, so one adam_step call updates all of them."""
+
+    @pytest.mark.parametrize("momentum", [None, 0.9], ids=["no-momentum", "momentum"])
+    @pytest.mark.parametrize("hidden", [None, 5], ids=["linear", "hidden"])
+    def test_flat_adam_equals_per_key_adam(self, hidden, momentum):
+        cfg = TrainerConfig(
+            batch_size=4, memory_neg_count=4, momentum=momentum, lr=0.05,
+            steps=20, d_out=3, hidden=hidden,
+        )
+        memory = ActiveMemory(8, 3, AffineCosine(), "duel", seed=5)
+        memory.push_batch(_unit(np.random.default_rng(3), 8, 3), np.zeros(8, int))
+        state = TrainState.create(cfg, FeatureExtractor(4, 3, hidden, seed=7), memory, seed=7)
+        # The reference: plain dict copies, updated one key at a time.
+        params = {k: v.copy() for k, v in state.extractor.params.items()}
+        m = {k: np.zeros_like(v) for k, v in params.items()}
+        v = {k: np.zeros_like(a) for k, a in params.items()}
+        key = {k: a.copy() for k, a in params.items()}
+        rng = np.random.default_rng(16)
+        for step in range(cfg.steps):
+            X = rng.normal(size=(4, 4))
+            Xp = X + 0.1 * rng.normal(size=(4, 4))
+            # The negatives train_step will draw, from a copy of its generator.
+            negs = state.memory.sample_negatives(
+                cfg.memory_neg_count, copy.deepcopy(state.rng)
+            )
+            _, grads = infonce_grad(state.extractor, X, Xp, negs, cfg, state.key_extractor)
+            lr = cosine_lr(state.step, cfg.steps, cfg.lr)
+            for k in params:
+                adam_step(
+                    params[k], grads[k], m[k], v[k], step + 1, lr,
+                    cfg.beta1, cfg.beta2, cfg.delta,
+                )
+            if momentum is not None:
+                for k in key:
+                    key[k] *= momentum
+                    key[k] += (1.0 - momentum) * params[k]
+            train_step(state, X, Xp)
+            for k in params:
+                assert state.extractor.params[k].tobytes() == params[k].tobytes(), (step, k)
+                assert state.adam_m[k].tobytes() == m[k].tobytes(), (step, k)
+                assert state.adam_v[k].tobytes() == v[k].tobytes(), (step, k)
+                if momentum is not None:
+                    assert state.key_extractor.params[k].tobytes() == key[k].tobytes()
+
+    @staticmethod
+    def _assert_flat(params):
+        assert isinstance(params, FlatParams)
+        for k in params:
+            assert np.shares_memory(params[k], params.flat), k
+
+    def test_views_share_the_buffer(self, tmp_path):
+        f = FeatureExtractor(4, 3, 5, seed=1)
+        self._assert_flat(f.params)
+        self._assert_flat(f.clone().params)
+        assert not np.shares_memory(f.clone().params.flat, f.params.flat)
+        state = _tiny_state()
+        for params in (state.extractor.params, state.key_extractor.params,
+                       state.adam_m, state.adam_v):
+            self._assert_flat(params)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, state)
+        loaded, _ = load_checkpoint(path)
+        for params in (loaded.extractor.params, loaded.key_extractor.params,
+                       loaded.adam_m, loaded.adam_v):
+            self._assert_flat(params)
+
+    def test_item_assignment_copies_into_the_buffer(self):
+        f = FeatureExtractor(2, 2)
+        W = np.arange(4.0).reshape(2, 2)
+        f.params["W"] = W
+        self._assert_flat(f.params)
+        assert not np.shares_memory(f.params["W"], W)
+        assert np.array_equal(f.params.flat[:4], W.reshape(-1))
+        with pytest.raises(ValueError, match="W: expected shape"):
+            f.params["W"] = np.zeros((3, 2))
+        assert np.array_equal(f.params["W"], W)
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         state = _tiny_state()
@@ -445,17 +539,26 @@ class TestCheckpoint:
         assert np.array_equal(loaded.memory.labels, state.memory.labels)
 
     def test_training_resumes_identically(self, tmp_path):
-        state = _tiny_state()
-        rng = np.random.default_rng(14)
-        for _ in range(2):
-            X = rng.normal(size=(4, 4))
-            train_step(state, X, X + 0.1 * rng.normal(size=(4, 4)))
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, state)
-        loaded, _ = load_checkpoint(path)
-        X = np.random.default_rng(15).normal(size=(4, 4))
-        Xp = X + 0.1
-        assert train_step(state, X, Xp).loss == train_step(loaded, X, Xp).loss
+        # The first loss is computed before any update, so the state after
+        # each later step is compared too: a loaded parameter cut off from
+        # the buffer Adam updates would show there.
+        for momentum in (None, 0.9):
+            state = _tiny_state(steps=8, momentum=momentum)
+            rng = np.random.default_rng(14)
+            for _ in range(2):
+                X = rng.normal(size=(4, 4))
+                train_step(state, X, X + 0.1 * rng.normal(size=(4, 4)))
+            path = tmp_path / "ckpt.npz"
+            save_checkpoint(path, state)
+            loaded, _ = load_checkpoint(path)
+            X = np.random.default_rng(15).normal(size=(4, 4))
+            Xp = X + 0.1
+            assert train_step(state, X, Xp).loss == train_step(loaded, X, Xp).loss
+            for step in range(3):
+                X = rng.normal(size=(4, 4))
+                Xp = X + 0.1 * rng.normal(size=(4, 4))
+                assert train_step(state, X, Xp).loss == train_step(loaded, X, Xp).loss
+                assert _state_bytes(loaded) == _state_bytes(state), (momentum, step)
 
     @pytest.mark.parametrize("fault", sorted(CHECKPOINT_FAULTS))
     def test_corrupt_state_rejected(self, tmp_path, capsys, fault):
