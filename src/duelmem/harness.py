@@ -15,7 +15,7 @@ import numpy as np
 
 from .codec import ConfigError, decode, decode_versioned, encode
 from .kernels import AffineCosine, Kernel, LabelOracle, normalize
-from .memory import ActiveMemory, POLICIES
+from .memory import POLICIES, ActiveMemory, check_capacity_and_policy
 from .metrics import (
     MetricsRow,
     class_entropy,
@@ -25,11 +25,12 @@ from .metrics import (
     linear_probe,
     write_metrics_csv,
 )
-from .streams import GaussianPairStream, StreamConfig, csv_row
+from .streams import GaussianPairStream, StreamConfig, csv_row, write_embedding_csv
 from .trainer import (
     FeatureExtractor,
     TrainState,
     TrainerConfig,
+    load_checkpoint,
     save_checkpoint,
     train_step,
 )
@@ -37,7 +38,9 @@ from .trainer import (
 __all__ = [
     "CONFIG_VERSION",
     "ConfigError",
+    "EvalConfig",
     "ExperimentConfig",
+    "MemoryConfig",
     "RunResult",
     "bench_policies",
     "default_config_dict",
@@ -72,12 +75,7 @@ class MemoryConfig:
     guarded: bool = False
 
     def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("capacity: must be >= 1")
-        if self.policy not in POLICIES:
-            raise ValueError(
-                f"policy: unknown policy {self.policy!r}; expected one of {POLICIES}"
-            )
+        check_capacity_and_policy(self.capacity, self.policy)
         if isinstance(self.kernel, LabelOracle):
             raise ValueError(
                 "kernel.form: 'oracle' reads hidden labels; it is a test "
@@ -133,10 +131,6 @@ class RunResult:
     out_dir: str
     rows: list[MetricsRow]
     final: MetricsRow
-
-    @property
-    def probe_acc(self) -> float:
-        return self.final.probe_acc
 
 
 def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -318,9 +312,6 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
 
     per_class=0 writes a header-only file. Returns the number of rows.
     """
-    from .streams import write_embedding_csv
-    from .trainer import load_checkpoint
-
     state, exp_cfg = load_checkpoint(ckpt_path)
     if exp_cfg is None:
         raise ValueError("checkpoint carries no experiment config to sample from")

@@ -124,12 +124,6 @@ class FiniteDistribution:
     def n_points(self) -> int:
         return self.embeddings.shape[0]
 
-    def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
-
-    def class_weight(self, label: int) -> float:
-        return float(self.weights[self.labels == label].sum())
-
     def restricted_to_class(self, label: int) -> "FiniteDistribution":
         """The class conditional: same-class points, weights renormalized."""
         mask = self.labels == label

@@ -107,6 +107,7 @@ __all__ = [
     "ActiveMemory",
     "EvictionEvent",
     "PushResult",
+    "check_capacity_and_policy",
     "guarded_update",
     "rng_from_state",
 ]
@@ -115,6 +116,16 @@ __all__ = [
 MAX_SCORE = 1.0
 
 POLICIES = ("duel", "fifo", "random", "reservoir")
+
+
+def check_capacity_and_policy(capacity: int, policy: str) -> None:
+    """The checks a config dataclass makes before it describes a memory;
+    each error names its field, for the codec to prefix with the path."""
+    if capacity < 1:
+        raise ValueError("capacity: must be >= 1")
+    if policy not in POLICIES:
+        raise ValueError(f"policy: unknown policy {policy!r}; expected one of {POLICIES}")
+
 
 UNLABELED = -1
 

@@ -14,7 +14,6 @@ __all__ = [
     "MetricsRow",
     "class_centroid",
     "class_entropy",
-    "class_frequency_histogram",
     "dominant_fraction",
     "inter_class_similarity",
     "intra_class_variance",
@@ -72,15 +71,6 @@ def inter_class_similarity(embeddings: np.ndarray, labels: np.ndarray) -> float:
     G = cents @ cents.T
     n = classes.size
     return float((G.sum() - np.trace(G)) / (n * (n - 1)))
-
-
-def class_frequency_histogram(labels: np.ndarray) -> np.ndarray:
-    """Per-class counts, sorted descending."""
-    labels = np.asarray(labels)
-    if labels.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    _, counts = np.unique(labels, return_counts=True)
-    return np.sort(counts)[::-1].astype(np.int64)
 
 
 def dominant_fraction(labels: np.ndarray, dominant_class: int = 0) -> float:

@@ -28,7 +28,6 @@ __all__ = [
     "load_embedding_stream",
     "longtail_probs",
     "oracle_embedding_stream",
-    "sample_class",
     "sample_pair",
     "write_embedding_csv",
 ]
@@ -131,16 +130,12 @@ def class_means(cfg: StreamConfig, seed: int = 0) -> np.ndarray:
     return cfg.separation * dirs
 
 
-def sample_class(cfg: StreamConfig, rng: np.random.Generator) -> int:
-    """Draw a hidden class index from the imbalance profile."""
-    return int(rng.choice(cfg.n_classes, p=cfg.probs()))
-
-
 def class_cdf(cfg: StreamConfig) -> np.ndarray:
     """The profile's CDF, normalised the way Generator.choice normalises it.
 
     `cdf.searchsorted(rng.random(), side="right")` then draws exactly the
-    class that sample_class would, without rebuilding the profile.
+    class that `rng.choice(cfg.n_classes, p=cfg.probs())` would, without
+    rebuilding the profile.
     """
     cdf = cfg.probs().cumsum()
     cdf /= cdf[-1]
@@ -155,8 +150,9 @@ def sample_pair(
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """(x, x+, hidden class): x ~ N(mean_c, sigma^2 I), x+ = x + aug noise.
 
-    The class is drawn exactly as sample_class draws it. Pass means and cdf
-    (from class_means and class_cdf) to avoid rebuilding them per draw.
+    The class is drawn exactly as `rng.choice(cfg.n_classes, p=cfg.probs())`
+    draws it. Pass means and cdf (from class_means and class_cdf) to avoid
+    rebuilding them per draw.
     """
     if means is None:
         means = class_means(cfg)

@@ -15,6 +15,7 @@ validated against central finite differences by `duelmem verify`.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections.abc import Mapping
@@ -24,7 +25,13 @@ import numpy as np
 
 from .codec import decode_versioned, encode
 from .kernels import Kernel, normalize
-from .memory import ActiveMemory, PushResult, guarded_update, rng_from_state
+from .memory import (
+    ActiveMemory,
+    PushResult,
+    check_capacity_and_policy,
+    guarded_update,
+    rng_from_state,
+)
 
 __all__ = [
     "FeatureExtractor",
@@ -37,10 +44,8 @@ __all__ = [
     "batched_infonce",
     "cosine_lr",
     "infonce_grad",
-    "infonce_loss",
     "load_checkpoint",
     "momentum_update",
-    "numerical_gradient",
     "save_checkpoint",
     "train_step",
 ]
@@ -184,8 +189,8 @@ class FeatureExtractor:
             })
 
     def clone(self) -> "FeatureExtractor":
-        twin = FeatureExtractor(self.d_in, self.d_out, self.hidden)
-        twin.params.flat[:] = self.params.flat
+        twin = copy.copy(self)
+        twin.params = FlatParams(self.params.shapes, self.params.flat.copy())
         return twin
 
     def forward_cached(self, X: np.ndarray):
@@ -254,28 +259,6 @@ def cosine_lr(step: int, total_steps: int, lr0: float) -> float:
     if not 0 <= step <= total_steps:
         raise ValueError("step must lie in [0, total_steps]")
     return lr0 * (1.0 + math.cos(math.pi * step / total_steps)) / 2.0
-
-
-def infonce_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: np.ndarray,
-    tau: float,
-    epsilon: float,
-) -> float:
-    """Single-sample loss; negatives is a nonempty (n, z) array."""
-    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-    if negatives.shape[0] == 0:
-        raise ValueError("negatives must be nonempty")
-    if not tau > 0:
-        raise ValueError("tau must be > 0")
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
-    lp = float(np.dot(anchor, positive)) / tau
-    ln = (negatives @ anchor) / tau
-    m = max(float(ln.max()), lp) if epsilon > 0 else float(ln.max())
-    denom = epsilon * math.exp(lp - m) + float(np.exp(ln - m).sum())
-    return -lp + m + math.log(denom)
 
 
 def batched_infonce(
@@ -402,27 +385,24 @@ def adam_step(
     param -= lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
 
 
-def _apply_gradients(state: TrainState, grads: FlatParams, lr: float) -> None:
-    """One Adam step over the whole flat buffer: the update is elementwise,
-    so each parameter gets the bytes a per-array step would give it."""
-    cfg = state.config
-    adam_step(
-        state.extractor.params.flat, grads.flat, state.adam_m.flat, state.adam_v.flat,
-        state.step + 1, lr, cfg.beta1, cfg.beta2, cfg.delta,
-    )
-
-
-def _embed_loss_grads(
+def infonce_grad(
     extractor: FeatureExtractor,
-    key_extractor: FeatureExtractor | None,
     X: np.ndarray,
     X_pos: np.ndarray,
-    mem_negs: np.ndarray | None,
+    negatives: np.ndarray | None,
     config: TrainerConfig,
+    key_extractor: FeatureExtractor | None = None,
 ) -> tuple[float, FlatParams, np.ndarray]:
-    """(loss, grads, embeddings to push into memory)."""
+    """Mean InfoNCE loss over the batch, its gradient w.r.t. extractor
+    parameters, and the embeddings of X to push into memory.
+
+    negatives are memory embeddings and act as constants (stop-gradient).
+    Positives contribute gradients only when key_extractor is None, i.e.
+    when they are embedded by the trainable extractor itself; otherwise the
+    key extractor embeds the positives and the pushed embeddings.
+    """
     Z, cache_a = extractor.forward_cached(X)
-    args = (mem_negs, config.tau, config.epsilon, config.negative_source)
+    args = (negatives, config.tau, config.epsilon, config.negative_source)
     if key_extractor is not None:
         P = key_extractor.forward(X_pos)
         push_emb = key_extractor.forward(X)
@@ -435,27 +415,6 @@ def _embed_loss_grads(
         grads = extractor.backward(cache_a, dZ)
         grads.flat += extractor.backward(cache_p, dP).flat
     return loss, grads, push_emb
-
-
-def infonce_grad(
-    extractor: FeatureExtractor,
-    X: np.ndarray,
-    X_pos: np.ndarray,
-    negatives: np.ndarray | None,
-    config: TrainerConfig,
-    key_extractor: FeatureExtractor | None = None,
-) -> tuple[float, FlatParams]:
-    """Mean InfoNCE loss over the batch and its gradient w.r.t. extractor
-    parameters.
-
-    negatives are memory embeddings and act as constants (stop-gradient).
-    Positives contribute gradients only when key_extractor is None, i.e.
-    when they are embedded by the trainable extractor itself.
-    """
-    loss, grads, _ = _embed_loss_grads(
-        extractor, key_extractor, X, X_pos, negatives, config
-    )
-    return loss, grads
 
 
 def train_step(
@@ -478,10 +437,15 @@ def train_step(
     if cfg.negative_source in ("memory_only", "mixed"):
         mem_negs = state.memory.sample_negatives(cfg.memory_neg_count, state.rng)
 
-    loss, grads, push_emb = _embed_loss_grads(
-        state.extractor, state.key_extractor, X, X_pos, mem_negs, cfg
+    loss, grads, push_emb = infonce_grad(
+        state.extractor, X, X_pos, mem_negs, cfg, state.key_extractor
     )
-    _apply_gradients(state, grads, lr)
+    # One Adam step over the whole flat buffer: the update is elementwise,
+    # so each parameter gets the bytes a per-array step would give it.
+    adam_step(
+        state.extractor.params.flat, grads.flat, state.adam_m.flat, state.adam_v.flat,
+        state.step + 1, lr, cfg.beta1, cfg.beta2, cfg.delta,
+    )
     if state.key_extractor is not None:
         momentum_update(state.key_extractor.params, state.extractor.params, cfg.momentum)
 
@@ -500,25 +464,6 @@ def train_step(
     return StepReport(state.step, loss, lr, events, applied)
 
 
-def numerical_gradient(loss_fn, params: dict, h: float = 1e-5) -> dict:
-    """Central finite differences of loss_fn() w.r.t. params, in place."""
-    grads = {}
-    for k, value in params.items():
-        g = np.zeros_like(value)
-        flat = value.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = loss_fn()
-            flat[idx] = orig - h
-            down = loss_fn()
-            flat[idx] = orig
-            gflat[idx] = (up - down) / (2.0 * h)
-        grads[k] = g
-    return grads
-
-
 # -- checkpointing ----------------------------------------------------------
 
 # ActiveMemory.state_dict entries stored as npz arrays; the rest go in meta.
@@ -534,6 +479,9 @@ class _MemoryMeta:
     seen: int
     rng: dict
 
+    def __post_init__(self) -> None:
+        check_capacity_and_policy(self.capacity, self.policy)
+
 
 @dataclass
 class _CheckpointMeta:
@@ -547,6 +495,12 @@ class _CheckpointMeta:
     guarded_memory: bool
     rng: dict
     experiment_config: dict | None
+
+    def __post_init__(self) -> None:
+        if self.d_in < 1:
+            raise ValueError("d_in: must be >= 1")
+        if not 0 <= self.step <= self.trainer.steps:
+            raise ValueError(f"step: {self.step} outside [0, {self.trainer.steps}]")
 
 
 def save_checkpoint(path, state: TrainState, experiment_config: dict | None = None) -> None:
@@ -607,8 +561,6 @@ def load_checkpoint(path) -> tuple[TrainState, dict | None]:
         raw = json.loads(bytes(data["meta"]).decode())
         meta = decode_versioned(_CheckpointMeta, raw, CHECKPOINT_VERSION, "meta")
         cfg = meta.trainer
-        if not 0 <= meta.step <= cfg.steps:
-            raise ValueError(f"meta.step: {meta.step} outside [0, {cfg.steps}]")
         extractor = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
         _load_params(data, "q.", extractor.params)
 

@@ -8,7 +8,10 @@ counts for a fast smoke pass; tests/test_verify.py runs every check in full.
 NaiveDuel and naive_select are the reference DUEL update and selection the
 incremental path is checked against: they recompute the whole score matrix
 and keep their own copy of the tie rule, so they share no code with
-ActiveMemory's DUEL path beyond the kernels and PushResult.
+ActiveMemory's DUEL path beyond the kernels and PushResult. infonce_loss,
+the single-sample loss, and numerical_gradient, central finite differences,
+are the references the trainer's batched loss and analytic gradients are
+checked against.
 """
 
 from __future__ import annotations
@@ -44,13 +47,18 @@ from .trainer import (
     TrainState,
     batched_infonce,
     infonce_grad,
-    infonce_loss,
     momentum_update,
-    numerical_gradient,
     train_step,
 )
 
-__all__ = ["run_all", "CHECKS", "NaiveDuel", "naive_select"]
+__all__ = [
+    "CHECKS",
+    "NaiveDuel",
+    "infonce_loss",
+    "naive_select",
+    "numerical_gradient",
+    "run_all",
+]
 
 
 def _random_unit(rng, n, z):
@@ -468,6 +476,47 @@ def check_capacity_and_sampling(quick: bool) -> tuple[bool, str]:
 # -- trainer ------------------------------------------------------------------
 
 
+def infonce_loss(
+    anchor: np.ndarray,
+    positive: np.ndarray,
+    negatives: np.ndarray,
+    tau: float,
+    epsilon: float,
+) -> float:
+    """Single-sample loss; negatives is a nonempty (n, z) array."""
+    negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
+    if negatives.shape[0] == 0:
+        raise ValueError("negatives must be nonempty")
+    if not tau > 0:
+        raise ValueError("tau must be > 0")
+    if epsilon < 0:
+        raise ValueError("epsilon must be >= 0")
+    lp = float(np.dot(anchor, positive)) / tau
+    ln = (negatives @ anchor) / tau
+    m = max(float(ln.max()), lp) if epsilon > 0 else float(ln.max())
+    denom = epsilon * math.exp(lp - m) + float(np.exp(ln - m).sum())
+    return -lp + m + math.log(denom)
+
+
+def numerical_gradient(loss_fn, params: dict, h: float = 1e-5) -> dict:
+    """Central finite differences of loss_fn() w.r.t. params, in place."""
+    grads = {}
+    for k, value in params.items():
+        g = np.zeros_like(value)
+        flat = value.reshape(-1)
+        gflat = g.reshape(-1)
+        for idx in range(flat.size):
+            orig = flat[idx]
+            flat[idx] = orig + h
+            up = loss_fn()
+            flat[idx] = orig - h
+            down = loss_fn()
+            flat[idx] = orig
+            gflat[idx] = (up - down) / (2.0 * h)
+        grads[k] = g
+    return grads
+
+
 def check_infonce_identity(quick: bool) -> tuple[bool, str]:
     """Single-positive loss equals I_h - I_d + ln K for the exp kernel."""
     rng = np.random.default_rng(22)
@@ -524,7 +573,7 @@ def _gradient_case(rng, hidden, source, epsilon, momentum_mode):
         )
         return loss
 
-    _, grads = infonce_grad(f, X, Xp, mem_negs, cfg, key_extractor=f_key)
+    _, grads, _ = infonce_grad(f, X, Xp, mem_negs, cfg, key_extractor=f_key)
     numeric = numerical_gradient(loss_fn, f.params)
     worst = 0.0
     for key in grads:

@@ -286,7 +286,6 @@ class TestRunExperiment:
 
         assert result.seed == 0
         assert result.final is result.rows[-1]
-        assert result.probe_acc == result.final.probe_acc
 
         for name in (
             "config.json",

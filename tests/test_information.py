@@ -95,13 +95,6 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             FiniteDistribution.uniform(np.eye(3), np.arange(2))
 
-    def test_class_weight(self):
-        d = FiniteDistribution(
-            np.eye(3), np.array([0, 0, 1]), np.array([0.25, 0.25, 0.5])
-        )
-        assert d.class_weight(0) == 0.5
-        assert d.class_weight(1) == 0.5
-
     def test_restriction_renormalizes(self):
         d = FiniteDistribution(
             np.eye(3), np.array([0, 0, 1]), np.array([0.2, 0.3, 0.5])

@@ -13,7 +13,6 @@ from duelmem.metrics import (
     MetricsRow,
     class_centroid,
     class_entropy,
-    class_frequency_histogram,
     dominant_fraction,
     inter_class_similarity,
     intra_class_variance,
@@ -91,10 +90,6 @@ class TestGeometryMetrics:
 
 
 class TestOccupancy:
-    def test_histogram_descends(self):
-        counts = class_frequency_histogram(np.array([2, 2, 2, 0, 1, 1]))
-        assert counts.tolist() == [3, 2, 1]
-
     def test_dominant_fraction(self):
         labels = np.array([0, 0, 0, 1, 2, 0])
         assert dominant_fraction(labels) == 4 / 6

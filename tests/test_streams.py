@@ -18,7 +18,6 @@ from duelmem.streams import (
     load_embedding_stream,
     longtail_probs,
     oracle_embedding_stream,
-    sample_class,
     sample_pair,
     write_embedding_csv,
 )
@@ -93,9 +92,8 @@ class TestStreamConfig:
 class TestSampling:
     def test_class_frequencies_match_profile(self):
         cfg = StreamConfig(n_classes=10, imbalance=Dominant(0.75))
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_class(cfg, rng) for _ in range(20000)])
-        assert abs((draws == 0).mean() - 0.75) < 0.01
+        _, _, labels = GaussianPairStream(cfg, seed=0).sample_batch(20000)
+        assert abs((labels == 0).mean() - 0.75) < 0.01
 
     def test_sigma_zero_reproduces_means(self):
         cfg = StreamConfig(n_classes=4, d_in=6, sigma=0.0, sigma_aug=0.0)
@@ -141,8 +139,8 @@ class TestCachedCdf:
         "imbalance", [Dominant(0.75), LongTail(50.0)], ids=["dominant", "longtail"]
     )
     def test_batches_equal_rng_choice_draws(self, imbalance):
-        # The reference draws each class with rng.choice(p=...), as
-        # sample_class does, interleaved with the two noise draws.
+        # The reference draws each class with rng.choice(p=...),
+        # interleaved with the two noise draws.
         cfg = StreamConfig(imbalance=imbalance)
         stream = GaussianPairStream(cfg, seed=7)
         rng = np.random.default_rng(7)

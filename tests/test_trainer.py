@@ -23,15 +23,14 @@ from duelmem.trainer import (
     batched_infonce,
     cosine_lr,
     infonce_grad,
-    infonce_loss,
     load_checkpoint,
     momentum_update,
-    numerical_gradient,
     save_checkpoint,
     train_step,
     _CheckpointMeta,
     _MemoryMeta,
 )
+from duelmem.verify import infonce_loss, numerical_gradient
 
 
 def _unit(rng, n, z):
@@ -87,6 +86,7 @@ class TestFeatureExtractor:
     def test_clone_is_independent(self):
         f = FeatureExtractor(3, 2, seed=2)
         g = f.clone()
+        assert g.params.flat.tobytes() == f.params.flat.tobytes()
         g.params["W"] += 1.0
         assert not np.array_equal(f.params["W"], g.params["W"])
 
@@ -127,7 +127,7 @@ class TestGradients:
                 Z, P, negs, cfg.tau, cfg.epsilon, cfg.negative_source, False
             )[0]
 
-        _, grads = infonce_grad(f, X, Xp, negs, cfg, key_extractor=f_key)
+        _, grads, _ = infonce_grad(f, X, Xp, negs, cfg, key_extractor=f_key)
         numeric = numerical_gradient(loss_fn, f.params)
         for k in grads:
             denom = np.maximum(np.abs(grads[k]) + np.abs(numeric[k]), 1e-6)
@@ -143,7 +143,7 @@ class TestGradients:
         f.params["b"] = np.array([2.0, 0.0])
         X = np.random.default_rng(4).normal(size=(3, 3))
         u = np.array([[1.0, 0.0]])
-        _, grads = infonce_grad(f, X, X.copy(), u, cfg)
+        _, grads, _ = infonce_grad(f, X, X.copy(), u, cfg)
         norm = math.sqrt(sum(float((g ** 2).sum()) for g in grads.values()))
         assert norm < 1e-8
 
@@ -157,7 +157,7 @@ class TestGradients:
             cfg = TrainerConfig(
                 batch_size=2, tau=tau, memory_neg_count=1, d_out=2
             )
-            _, grads = infonce_grad(f, X, X.copy(), u, cfg)
+            _, grads, _ = infonce_grad(f, X, X.copy(), u, cfg)
             assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
 
 
@@ -353,6 +353,9 @@ CHECKPOINT_FAULTS = {
     ),
     "capacity_string": (_set_memory_meta(capacity="8"), "meta.memory.capacity"),
     "d_in_string": (_set_meta(d_in="4"), "meta.d_in"),
+    "d_in_zero": (_set_meta(d_in=0), "meta.d_in"),
+    "capacity_zero": (_set_memory_meta(capacity=0), "meta.memory.capacity"),
+    "policy_unknown": (_set_memory_meta(policy="lru"), "meta.memory.policy"),
     "step_missing": (lambda arrays, meta: meta.pop("step"), "step"),
     "step_negative": (_set_meta(step=-5), "meta.step"),
     "step_above_steps": (_set_meta(step=6), "meta.step"),
@@ -460,7 +463,7 @@ class TestFlatParams:
             negs = state.memory.sample_negatives(
                 cfg.memory_neg_count, copy.deepcopy(state.rng)
             )
-            _, grads = infonce_grad(state.extractor, X, Xp, negs, cfg, state.key_extractor)
+            _, grads, _ = infonce_grad(state.extractor, X, Xp, negs, cfg, state.key_extractor)
             lr = cosine_lr(state.step, cfg.steps, cfg.lr)
             for k in params:
                 adam_step(
