@@ -30,7 +30,8 @@ def normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not np.all(np.isfinite(v)):
         raise ValueError("embedding contains non-finite values")
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    # np.linalg.norm's formula along an axis, without its copy of v.
+    norms = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize a zero vector")
     return v / norms

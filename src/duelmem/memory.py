@@ -18,7 +18,8 @@ entries into a memory of k follows a selection-mask scheme over the pool
     the selected row with the largest live score (lowest index on ties,
     grouped at _TIE_TOL), subtract its masked row from the live scores and
     zero it. A victim's row is a row of the cross block when it came in with
-    this batch; a memory entry's row is computed on its own;
+    this batch. A memory entry's row comes from the victim block (below) or,
+    outside it, is computed on its own;
   * then offer the incoming row: add its masked scores to the other rows in
     a spare buffer, and credit it its own masked row sum plus its self
     score, taken as MAX_SCORE when it is within 1e-12 of it and from the
@@ -54,6 +55,23 @@ entries into a memory of k follows a selection-mask scheme over the pool
     where nearly every row settles, a push of 64 then takes two blocks
     instead of three single rows and five blocks; where runs are short, the
     carried length stays below 3 and nothing changes.
+
+  * victim block: the first memory victim's row is computed on its own, so
+    a push in which every other row settles makes two score products, the
+    cross block and that row. The second memory victim's pick computes, in
+    one product, the rows of the c selected memory entries with the largest
+    live scores, the victim among them, where c is the smaller of the rows
+    still to offer (each needs at most one more pick) and the selected memory
+    entries. Later memory victims read their row from it; one outside it
+    gets its own row. A push thus makes at most three score products plus
+    one per such miss; on a full memory of 4096 offered batches of 64 with
+    few settles, about 3.5 instead of about 53, for about 11% more score
+    entries. Rows do not depend on scores, so the block stays valid when the
+    drift guard recomputes. A row of the block comes from a multi-row
+    product and a lone row from a one-row product, which may differ in the
+    last bit of some entries (BLAS gemm against gemv), so the cached sums
+    may differ by a few ulps from those of one row per victim. No choice
+    moves: ties are grouped at _TIE_TOL, far above that.
 
 That costs O(b (k+b) z) per call instead of O((k+b)^2 z), and the Python
 loop does its victim bookkeeping per kept row only. Elements inserted
@@ -404,12 +422,21 @@ class ActiveMemory:
         self._scores[c0:c1] = self._row_sums(E[c0:], E, new, kl)
 
     def _compact(self, selection, emb, labels, ids, live_scores) -> None:
+        """Write the selected pool rows into the memory's arrays, in order.
+
+        np.take with an out array writes there directly in "clip" mode; in
+        its default "raise" mode, which np.compress uses, it fills a copy of
+        out first. The indices are in range, so clipping changes none.
+        """
         keep = np.flatnonzero(selection)
-        self._count = keep.size
-        self._emb[: self._count] = emb[keep]
-        self._labels[: self._count] = labels[keep]
-        self._steps[: self._count] = ids[keep]
-        self._scores[: self._count] = live_scores[keep]
+        n = self._count = keep.size
+        for pooled, held in (
+            (emb, self._emb),
+            (labels, self._labels),
+            (ids, self._steps),
+            (live_scores, self._scores),
+        ):
+            np.take(pooled, keep, axis=0, out=held[:n], mode="clip")
 
     def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         k, b = self._count, X.shape[0]
@@ -422,10 +449,31 @@ class ActiveMemory:
         # Row i - k of the b x (k+b) cross block is row i of the pool's score
         # matrix, for batch entry i.
         cross = pair_scores(X, pool, self.kernel, None if kl is None else kl[k:], kl)
+        # Memory entries picked so far, and the victim block (see the module
+        # docstring): the rows of the likely memory victims, built at the
+        # second, with each entry's position in it.
+        picked = 0
+        likely: dict[int, int] = {}
+        victim_block = None
 
         def row(j: int) -> np.ndarray:
+            nonlocal victim_block
             if j >= k:
                 return cross[j - k]
+            if j in likely:
+                return victim_block[likely[j]]
+            if picked and not likely:
+                # The c selected memory entries with the largest live scores,
+                # j among them; c covers a memory pick for every row still
+                # to offer. i is the row about to be offered.
+                c = min(k + b - i, k - picked)
+                ranked = live[:k].copy()
+                ranked[j] = np.inf
+                rows = np.argpartition(ranked, k - c)[k - c :]
+                lr = None if kl is None else kl[rows]
+                victim_block = pair_scores(pool[rows], pool, self.kernel, lr, kl)
+                likely.update(zip(rows.tolist(), range(c)))
+                return victim_block[likely[j]]
             lj = None if kl is None else kl[j : j + 1]
             return pair_scores(pool[j : j + 1], pool, self.kernel, lj, kl)[0]
 
@@ -472,6 +520,7 @@ class ActiveMemory:
                 sel[j] = 0.0
                 base[j] = -np.inf
                 victims.append(j)
+                picked += j < k
             if run < 3 and not opening:
                 t = cross[i - k]
                 np.add(delta, t, out=spare)
@@ -514,7 +563,7 @@ class ActiveMemory:
             sel[i] = 1.0
             top = max(top, own)
             self._settle_run, run, i = run, 0, i + 1
-        self._compact(sel, pool, labels, ids, live_scores=base + delta)
+        self._compact(sel, pool, labels, ids, live_scores=np.add(base, delta, out=base))
         self._seen += b
         return PushResult(victims, ids[k:])
 

@@ -16,6 +16,7 @@ checked against.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import tempfile
 
@@ -280,10 +281,53 @@ def check_selection_equivalence(quick: bool) -> tuple[bool, str]:
     return True, f"{trials} random memories"
 
 
+@contextlib.contextmanager
+def _score_products():
+    """Record the row count of every score product the memory module makes.
+
+    A DUEL push makes its cross block first, then one row per memory victim
+    until its second, which builds the victim block; each product after the
+    block is the row of a victim outside it.
+    """
+    rows: list[int] = []
+    inner = memory_module.pair_scores
+
+    def counted(X, *args):
+        rows.append(len(X))
+        return inner(X, *args)
+
+    memory_module.pair_scores = counted
+    try:
+        yield rows
+    finally:
+        memory_module.pair_scores = inner
+
+
 def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
-    """Batched incremental updates replay NaiveDuel exactly."""
+    """Batched incremental updates replay NaiveDuel exactly, on both the
+    victim block's rows and rows computed outside it."""
     rng = np.random.default_rng(16)
     trials = 20 if quick else 200
+    blocks = outside = 0
+
+    def replay(fast, slow, batch, labels=None) -> tuple[PushResult, str | None]:
+        nonlocal blocks, outside
+        with _score_products() as products:
+            events = fast.push_batch(batch, labels)
+        # A block of one row, for a second victim picked for the batch's
+        # last row, has no later victims and goes uncounted.
+        built = [n > 1 for n in products[1:]]
+        if any(built):
+            blocks += 1
+            outside += len(built) - 1 - built.index(True)
+        if events != slow.push_batch(batch, labels):
+            return events, "eviction logs diverge"
+        if not np.array_equal(fast.embeddings, slow.embeddings):
+            return events, "contents diverge"
+        if np.max(np.abs(fast.scores - fast.recomputed_scores())) > 1e-9:
+            return events, "incremental score cache drifted beyond 1e-9"
+        return events, None
+
     for kernel in (AffineCosine(), ExponentialTemp(tau=0.5)):
         for t in range(trials):
             k, b, z = 64, 8, 16
@@ -300,14 +344,9 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
             batch_labels = rng.integers(0, 6, size=b)
             fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel, policy="duel")
             slow = NaiveDuel(emb, labels, kernel=kernel)
-            ev_fast = fast.push_batch(batch, batch_labels)
-            ev_slow = slow.push_batch(batch, batch_labels)
-            if ev_fast != ev_slow:
-                return False, f"eviction logs diverge at trial {t} ({kernel})"
-            if not np.array_equal(fast.embeddings, slow.embeddings):
-                return False, f"contents diverge at trial {t}"
-            if np.max(np.abs(fast.scores - fast.recomputed_scores())) > 1e-9:
-                return False, "incremental score cache drifted beyond 1e-9"
+            _, fault = replay(fast, slow, batch, batch_labels)
+            if fault:
+                return False, f"{fault} at trial {t} ({kernel})"
     # A dominant-class cluster stream. Once DUEL has thinned the dominant
     # cluster, the next replacement evicts most offered rows on arrival, and
     # the incremental path settles them; 20 warm-up pushes get it there.
@@ -323,11 +362,9 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     E, held = warmed.embeddings, warmed.labels
     fast = ActiveMemory.from_arrays(E, held, policy="duel")
     slow = NaiveDuel(E, held)
-    ev_fast = fast.push_batch(X[-b:], labels[-b:])
-    if ev_fast != slow.push_batch(X[-b:], labels[-b:]):
-        return False, "eviction logs diverge on the dominant-cluster trial"
-    if not np.array_equal(fast.embeddings, slow.embeddings):
-        return False, "contents diverge on the dominant-cluster trial"
+    ev_fast, fault = replay(fast, slow, X[-b:], labels[-b:])
+    if fault:
+        return False, f"{fault} on the dominant-cluster trial"
     settled = int(np.count_nonzero(ev_fast.victims[1:] == k + np.arange(b - 1)))
     if settled < b // 2:
         return False, f"dominant-cluster trial evicted only {settled} of {b} rows on arrival"
@@ -336,7 +373,41 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     own = np.diagonal(pair_scores(X[-b:], X[-b:], AffineCosine()))
     if np.max(np.abs(own - memory_module.MAX_SCORE)) > 1e-12:
         return False, "unit rows do not score themselves MAX_SCORE, so none settles"
-    return True, f"{2 * trials + 1} batched updates, both kernels, {settled}/{b} settled"
+    cluster = f"{settled}/{b} settled"
+    # A large clustered memory offered scattered rows keeps every row, so
+    # each push picks a memory victim per row and reads most of their rows
+    # from its victim block.
+    k, b, z = 512, 64, 16
+    emb = normalize(_random_unit(rng, 1, z) + 0.5 * rng.normal(size=(k, z)))
+    fast = ActiveMemory.from_arrays(emb, kernel=AffineCosine(), policy="duel")
+    slow = NaiveDuel(emb, kernel=AffineCosine())
+    for p in range(1 if quick else 3):
+        _, fault = replay(fast, slow, _random_unit(rng, b, z))
+        if fault:
+            return False, f"{fault} on push {p} into a memory of {k}"
+    # Copies of the memory's most distinctive entry: its score climbs with
+    # each copy until it is the next victim, and the block, built at the
+    # second memory victim from the largest scores, does not hold its row.
+    k, b, z = 64, 16, 8
+    for kernel in (AffineCosine(), ExponentialTemp(tau=0.5)):
+        emb = _random_unit(rng, k, z)
+        fast = ActiveMemory.from_arrays(emb, kernel=kernel, policy="duel")
+        slow = NaiveDuel(emb, kernel=kernel)
+        low = int(np.argmin(fast.scores))
+        batch = np.vstack([_random_unit(rng, 2, z), np.tile(emb[low], (b - 2, 1))])
+        before = outside
+        events, fault = replay(fast, slow, batch)
+        if fault:
+            return False, f"{fault} on the distinctive-entry trial ({kernel})"
+        if low not in events.victims.tolist() or outside == before:
+            return False, f"entry {low} was not evicted from outside its push's block ({kernel})"
+    if not (blocks and outside):
+        return False, f"{blocks} pushes built a victim block, {outside} victims read a row outside one"
+    pushes = 2 * trials + (1 if quick else 3) + 3
+    return True, (
+        f"{pushes} batched updates, both kernels, {cluster}; "
+        f"{blocks} built a victim block, {outside} victims read a row outside one"
+    )
 
 
 def check_cache_coherence(quick: bool) -> tuple[bool, str]:

@@ -45,6 +45,14 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(np.array([np.inf, 1.0]))
 
+    @pytest.mark.parametrize("shape", [(7,), (16,), (64, 16), (5, 33)])
+    def test_bytes_equal_linalg_norm_scaling(self, shape):
+        # normalize computes np.linalg.norm's formula along the last axis
+        # itself; the pushed batch keeps its bytes only while the two agree.
+        v = np.random.default_rng(17).normal(size=shape) * 3.0
+        expected = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        assert normalize(v).tobytes() == expected.tobytes()
+
 
 class TestCosine:
     def test_orthogonal(self):

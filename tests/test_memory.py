@@ -682,6 +682,57 @@ class TestSettle:
         assert settled >= 0.9 * pushes * b
 
 
+class TestVictimBlock:
+    """A push computes its second memory victim's row in one block with the
+    rows of the other selected memory entries that score highest, one per
+    row still to offer; later victims read their row from it."""
+
+    def test_settling_push_builds_no_block(self, monkeypatch):
+        # Every row but the last settles, so the push picks one memory victim:
+        # its products are the cross block and that victim's row.
+        members, hub, _ = _hub()
+        k, b = members.shape[0], 6
+        fast = ActiveMemory.from_arrays(members)
+        slow = NaiveDuel(members)
+        entries = _count_entries(monkeypatch)
+        events = fast.push_batch(np.tile(hub, (b, 1)))
+        assert _settled(events, k) == list(range(b - 1))
+        assert entries == [b * (k + b), k + b]
+        assert events == slow.push_batch(np.tile(hub, (b, 1)))
+
+    @pytest.mark.parametrize("seed", [42, 43])
+    def test_kept_rows_read_the_victim_block(self, seed, monkeypatch):
+        # Scattered rows into a clustered memory of 512 are kept, and every
+        # victim is a memory entry. The first memory victim's row is computed
+        # on its own, the second builds a block of 63 rows, and each later
+        # memory victim outside the block costs one more row.
+        rng = np.random.default_rng(seed)
+        k, b, z = 512, 64, 16
+        emb = normalize(_unit(rng, 1, z) + 0.5 * rng.normal(size=(k, z)))
+        batch = _unit(rng, b, z)
+        fast = ActiveMemory.from_arrays(emb)
+        slow = NaiveDuel(emb)
+        entries = _count_entries(monkeypatch)
+        counted, inputs = memory_module.pair_scores, []
+
+        def recorded(X, *args):
+            inputs.append(X.copy())
+            return counted(X, *args)
+
+        monkeypatch.setattr(memory_module, "pair_scores", recorded)
+        events = fast.push_batch(batch)
+        monkeypatch.undo()
+        assert events == slow.push_batch(batch)
+        assert np.array_equal(fast.embeddings, slow.embeddings)
+        assert _drift(fast) <= 1e-9
+        assert (events.victims < k).all()
+        assert entries[:3] == [b * (k + b), k + b, (b - 1) * (k + b)]
+        held = {row.tobytes() for row in inputs[2]}
+        misses = sum(emb[v].tobytes() not in held for v in events.victims[2:].tolist())
+        assert entries[3:] == [k + b] * misses
+        assert misses < b // 8
+
+
 class TestDriftGuard:
     """A DUEL victim whose cached sum is off by more than the guard's
     constant triggers an exact recompute before the choice stands."""
@@ -715,6 +766,32 @@ class TestDriftGuard:
         wrong = self._perturb(fast)
         assert fast.push_batch(batch)[0].evicted == wrong
         assert _drift(fast) > 1e-9
+
+    def test_guard_fires_on_a_row_from_the_victim_block(self, monkeypatch):
+        # Lift the second memory victim's cached sum by 5e-10: above the
+        # guard's constant, below the tie tolerance. The first pick passes its
+        # probe; the second reads its row from the block it builds, the probe
+        # fails, and the recompute restores the exact sums before it stands.
+        fast, slow, batch = self._memories()
+        k, b = fast.size, batch.shape[0]
+        naive = NaiveDuel(fast.embeddings, fast.labels).push_batch(batch)
+        second = [v for v in naive.victims.tolist() if v < k][1]
+        fast._scores[second] += 5e-10
+        entries = _count_entries(monkeypatch)
+        row_sums = ActiveMemory._row_sums
+
+        def guarded(mem, *args):
+            entries.append("recompute")
+            return row_sums(mem, *args)
+
+        monkeypatch.setattr(ActiveMemory, "_row_sums", guarded)
+        events = fast.push_batch(batch)
+        monkeypatch.undo()
+        assert entries[:4] == [b * (k + b), k + b, (b - 1) * (k + b), "recompute"]
+        assert entries.count("recompute") == 1
+        assert events == naive == slow.push_batch(batch)
+        assert np.array_equal(fast.embeddings, slow.embeddings)
+        assert _drift(fast) <= 1e-12
 
     def test_guard_constant_sits_far_below_tie_tolerance(self):
         assert memory_module._DRIFT_TOL <= memory_module._TIE_TOL / 10
