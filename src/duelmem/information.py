@@ -120,20 +120,6 @@ class FiniteDistribution:
         """Equal weight on every point."""
         return cls(np.asarray(embeddings), np.asarray(labels))
 
-    @property
-    def n_points(self) -> int:
-        return self.embeddings.shape[0]
-
-    def restricted_to_class(self, label: int) -> "FiniteDistribution":
-        """The class conditional: same-class points, weights renormalized."""
-        mask = self.labels == label
-        total = self.weights[mask].sum()
-        if total == 0.0:
-            raise ValueError(f"class {label} has zero weight")
-        return FiniteDistribution(
-            self.embeddings[mask], self.labels[mask], self.weights[mask] / total
-        )
-
 
 def hebbian_information(
     anchor: np.ndarray,

@@ -4,7 +4,10 @@ The DUEL policy evicts the entry with minimum distinctiveness, i.e. the one
 most duplicated by the rest of the memory. Because -log is monotone, that is
 the entry with the largest row sum of the pairwise duplication-score matrix
 (self pair included), so the policy can be driven entirely by cached row
-sums.
+sums. Under the default AffineCosine kernel, q(x, y) = (1 + x.y)/2, so the
+row sum of a held entry e among n is (n + e.S)/2, with S the sum of the held
+embeddings: affine DUEL evicts the held entry most aligned with S, and
+verify.affine_duel_replay replays pushes by that closed form.
 
 DUEL pushes and appends keep the cache `_scores` coherent across calls, and
 no update path builds a k x k score matrix. A batched DUEL update of b
@@ -33,29 +36,24 @@ entries into a memory of k follows a selection-mask scheme over the pool
     evicting it returns that state. Otherwise the row is kept: the spare
     buffer becomes the live scores, the row is marked selected, and the
     next victim is picked;
-  * settle blocks: since settled rows leave the state unchanged, once three
-    rows in a row have settled the next rows are offered together against
-    that state, in a block as long as the run so far (3, 6, 12, 24 rows, then
-    _SETTLE_BLOCK at most). A block takes one (delta + T) + base add over its
-    rows T of the cross block, one row-wise maximum and one np.vecdot(T, sel)
-    for their masked sums. These are the bytes each row gets on its own: the
-    adds are the same elementwise operations, the maximum is exact, and
-    np.vecdot's row r equals T[r] @ sel bit for bit (T @ sel does not). Rows
-    before the first that does not settle are logged as victims; that row is
-    kept from its row of the block, and the run restarts. The first three
-    rows after a kept row are offered one at a time, four numpy calls on
-    (k+b) floats each, so short runs pay for no block;
+  * settle blocks: settled rows leave the state unchanged, so once three
+    rows in a row have settled, the next rows are offered together against
+    that state, in a block as long as the run so far (3, 6, 12, 24 rows and
+    so on, the rest of the batch at most). A block takes one add,
+    (delta + T) + base, over its rows T of the cross block, one row-wise
+    maximum and one np.vecdot(T, sel) for their masked sums: the bytes each
+    row gets on its own, since the adds are the same elementwise operations,
+    the maximum is exact, and np.vecdot's row r equals T[r] @ sel bit for bit
+    (T @ sel does not). Rows before the first that does not settle are
+    logged as victims; that row is kept from its row of the block, and the
+    run restarts with up to three rows offered one at a time, four numpy
+    calls on (k+b) floats each, so short runs pay for no block;
   * carried start: the memory keeps the length of the last run that ended at
     a kept row, across calls. When it is at least 3, the next call offers
     its first rows, right after its first victim pick, in one block of that
-    length (_SETTLE_BLOCK at most) instead of climbing the ramp from one row.
-    A state just after a victim pick is the state a run of settled rows
-    leaves, so the block gives each row the same bytes; when its first row
-    is kept, the rest of the block is computed and not read. On a stream
-    where nearly every row settles, a push of 64 then takes two blocks
-    instead of three single rows and five blocks; where runs are short, the
-    carried length stays below 3 and nothing changes.
-
+    length. A state just after a victim pick is the state a run of settled
+    rows leaves, so each row gets the same bytes; when the block's first row
+    is kept, the rest of the block is computed and not read;
   * victim block: the first memory victim's row is computed on its own, so
     a push in which every other row settles makes two score products, the
     cross block and that row. The second memory victim's pick computes, in
@@ -63,22 +61,21 @@ entries into a memory of k follows a selection-mask scheme over the pool
     live scores, the victim among them, where c is the smaller of the rows
     still to offer (each needs at most one more pick) and the selected memory
     entries. Later memory victims read their row from it; one outside it
-    gets its own row. A push thus makes at most three score products plus
-    one per such miss; on a full memory of 4096 offered batches of 64 with
-    few settles, about 3.5 instead of about 53, for about 11% more score
-    entries. Rows do not depend on scores, so the block stays valid when the
-    drift guard recomputes. A row of the block comes from a multi-row
-    product and a lone row from a one-row product, which may differ in the
-    last bit of some entries (BLAS gemm against gemv), so the cached sums
-    may differ by a few ulps from those of one row per victim. No choice
-    moves: ties are grouped at _TIE_TOL, far above that.
+    gets its own row, so a push makes at most three score products plus one
+    per such miss. Rows do not depend on scores, so the block stays valid
+    when the drift guard recomputes. A row of the block comes from a
+    multi-row product and a lone row from a one-row product, which may
+    differ in the last bit of some entries (BLAS gemm against gemv), moving
+    the cached sums by a few ulps but no choice: ties are grouped at
+    _TIE_TOL, far above that.
 
-That costs O(b (k+b) z) per call instead of O((k+b)^2 z), and the Python
-loop does its victim bookkeeping per kept row only. Elements inserted
-earlier in the same call are eviction candidates for later elements.
-verify.NaiveDuel replays the same candidate pool but recomputes every score
-from the full pool matrix per replacement; both must produce identical
-eviction logs.
+Every score block a push holds, cross, settle or victim block, is thus at
+most b x (k+b); only the drift guard's recompute goes _ROW_BLOCK rows at a
+time. A call costs O(b (k+b) z) instead of O((k+b)^2 z), and the Python loop
+does its victim bookkeeping per kept row only. Elements inserted earlier in
+the same call are eviction candidates for later elements. verify.NaiveDuel
+replays the same pool from the full pool matrix per replacement and must log
+the same evictions.
 
 Drift. The per-call changes to the live scores accumulate in a zero-based
 array that is folded into the cached sums once per call, so each cached sum
@@ -101,11 +98,10 @@ so the next reader finds it fresh. A memory goes stale only once it is full,
 and stays full, so appends never meet a stale cache.
 
 Eviction-log coordinates: a push returns one PushResult, whose victims
-array holds, per accepted item, the displaced entry's index. DUEL reports
-the victim's index in the combined pool (entry order at call start, then
-batch order); the baseline policies (fifo, random, reservoir) replace slots
-in place and report the slot index. Appends below capacity report -1, which
-reads as None on the EvictionEvent view.
+array holds, per accepted item, the displaced entry's index: for DUEL its
+index in the combined pool (entry order at call start, then batch order),
+for the baseline policies the slot they overwrite in place, and -1 for an
+append below capacity.
 """
 
 from __future__ import annotations
@@ -159,12 +155,9 @@ _TIE_TOL = 1e-9
 _DRIFT_TOL = 1e-10
 
 # Rows per block when scores are summed over the whole memory, so that no
-# k x k matrix is ever live (128 rows against 4096 entries is 4 MB).
+# k x k matrix is ever live. 128 rows of 4096 (4 MB) also lift glibc's mmap
+# threshold above a 64 x 4160 push block; at 64, pushes took twice as long.
 _ROW_BLOCK = 128
-
-# Most rows offered in one block during a run of settling DUEL rows, so that
-# a block holds at most this many (k+b)-long rows of live scores.
-_SETTLE_BLOCK = 32
 
 
 def _tied_argmax(values: np.ndarray) -> int:
@@ -183,10 +176,8 @@ class EvictionEvent:
 class PushResult:
     """The accepted items of one push, in offer order, as two int arrays:
     `victims` holds the index each item displaced (-1 for a plain append)
-    and `inserted` its insert id.
-
-    It reads as a sequence of EvictionEvent, built only when indexed or
-    iterated, and compares equal to a list of them.
+    and `inserted` its insert id. Iterating it yields one EvictionEvent per
+    item, built as it is read.
     """
 
     __slots__ = ("victims", "inserted")
@@ -198,10 +189,6 @@ class PushResult:
     def __len__(self) -> int:
         return self.victims.size
 
-    def __getitem__(self, index: int) -> EvictionEvent:
-        v = int(self.victims[index])
-        return EvictionEvent(None if v < 0 else v, int(self.inserted[index]))
-
     def __iter__(self):
         for v, r in zip(self.victims.tolist(), self.inserted.tolist()):
             yield EvictionEvent(None if v < 0 else v, r)
@@ -211,8 +198,6 @@ class PushResult:
             return np.array_equal(self.victims, other.victims) and np.array_equal(
                 self.inserted, other.inserted
             )
-        if isinstance(other, list):
-            return list(self) == other
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -289,10 +274,6 @@ class ActiveMemory:
     @property
     def size(self) -> int:
         return self._count
-
-    @property
-    def is_full(self) -> bool:
-        return self._count == self.capacity
 
     @property
     def embeddings(self) -> np.ndarray:
@@ -536,7 +517,7 @@ class ActiveMemory:
                 # A settle block (see the module docstring): each row gets
                 # the sums, maximum and masked sum it would get on its own.
                 a = i - k
-                n = min(max(run, opening), _SETTLE_BLOCK, b - a)
+                n = min(max(run, opening), b - a)
                 opening = 0
                 T = cross[a : a + n]
                 block = delta + T

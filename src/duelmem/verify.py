@@ -55,6 +55,7 @@ from .trainer import (
 __all__ = [
     "CHECKS",
     "NaiveDuel",
+    "affine_duel_replay",
     "infonce_loss",
     "naive_select",
     "numerical_gradient",
@@ -240,6 +241,24 @@ class NaiveDuel:
         return PushResult(np.array(victims), ids[k:])
 
 
+def affine_duel_replay(E0, batches) -> tuple[list[int], np.ndarray]:
+    """DUEL victims under AffineCosine, as pool indices, and the rows held
+    after the last push, from the closed-form row sums (n + e.S)/2 over the
+    n held rows with sum S: O((k+b) z) per replacement, not O((k+b)^2 z)."""
+    held, victims = E0, []
+    for batch in batches:
+        k, pool = held.shape[0], np.vstack([held, batch])
+        sel = np.arange(pool.shape[0]) < k
+        total = held.sum(axis=0)
+        for i in range(k, pool.shape[0]):
+            j = _first_max(np.where(sel, (k + pool @ total) / 2.0, -np.inf))
+            victims.append(j)
+            sel[j], sel[i] = False, True
+            total += pool[i] - pool[j]
+        held = pool[sel]
+    return victims, held
+
+
 def naive_select(mem: ActiveMemory) -> int:
     """The entry `mem` would evict under DUEL, from a full recompute of its
     score matrix: the largest row sum, lowest index on ties."""
@@ -403,9 +422,22 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
             return False, f"entry {low} was not evicted from outside its push's block ({kernel})"
     if not (blocks and outside):
         return False, f"{blocks} pushes built a victim block, {outside} victims read a row outside one"
-    pushes = 2 * trials + (1 if quick else 3) + 3
+    # The filter_duel shape against the affine closed form: batches of 64 into
+    # 4096 entries from a dominant-cluster stream, a tenth of rows repeated.
+    k, b, z, wide = 4096, 64, 16, 4 if quick else 32
+    classes = rng.choice(6, size=k + wide * b, p=Dominant(0.75).probs(6))
+    X = normalize(_random_unit(rng, 6, z)[classes] + 0.35 * rng.normal(size=(classes.size, z)))
+    for i in np.flatnonzero(rng.random(classes.size - 1) < 0.1) + 1:
+        X[i] = X[rng.integers(i)]
+    fast, batches = ActiveMemory.from_arrays(X[:k], policy="duel"), np.split(X[k:], wide)
+    victims = [v for batch in batches for v in fast.push_batch(batch).victims.tolist()]
+    expected, held = affine_duel_replay(X[:k], batches)
+    drift = np.max(np.abs(fast.scores - fast.recomputed_scores()))
+    if victims != expected or not np.array_equal(fast.embeddings, held) or drift > 1e-9:
+        return False, f"memory of {k} diverges from the affine replay (drift {drift:.1e})"
+    pushes = 2 * trials + (1 if quick else 3) + 3 + wide
     return True, (
-        f"{pushes} batched updates, both kernels, {cluster}; "
+        f"{pushes} batched updates ({wide} into {k}), both kernels, {cluster}; "
         f"{blocks} built a victim block, {outside} victims read a row outside one"
     )
 
@@ -477,7 +509,7 @@ def check_safeness(quick: bool) -> tuple[bool, str]:
     for k, probs, default_probe in streams:
         stream = oracle_embedding_stream(n_classes, rng, probs=probs)
         mem = ActiveMemory(k, n_classes, LabelOracle(), policy="duel")
-        while not mem.is_full:
+        while mem.size < mem.capacity:
             e, c = next(stream)
             mem.push_batch(e[None, :], np.array([c]))
         for _ in range(replacements):

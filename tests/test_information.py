@@ -32,7 +32,7 @@ def _q(a, b, kernel, la=None, lb=None):
 
 def oracle_hebbian(anchor, anchor_label, dist, kernel):
     """I_h by direct enumeration over the anchor's class conditional."""
-    idx = [i for i in range(dist.n_points) if dist.labels[i] == anchor_label]
+    idx = [i for i in range(dist.embeddings.shape[0]) if dist.labels[i] == anchor_label]
     wc = fsum(dist.weights[i] for i in idx)
     terms = []
     for i in idx:
@@ -48,7 +48,7 @@ def oracle_distinctiveness(anchor, anchor_label, dist, kernel):
     mean_q = fsum(
         dist.weights[i]
         * _q(anchor, dist.embeddings[i], kernel, anchor_label, dist.labels[i])
-        for i in range(dist.n_points)
+        for i in range(dist.embeddings.shape[0])
     )
     if mean_q == 0.0:
         return math.inf
@@ -58,13 +58,20 @@ def oracle_distinctiveness(anchor, anchor_label, dist, kernel):
 def oracle_hml(dist, kernel):
     """hml_loss by anchor-wise enumeration with fsum accumulation."""
     terms = []
-    for i in range(dist.n_points):
+    for i in range(dist.embeddings.shape[0]):
         ih = oracle_hebbian(dist.embeddings[i], dist.labels[i], dist, kernel)
         idv = oracle_distinctiveness(
             dist.embeddings[i], dist.labels[i], dist, kernel
         )
         terms.append(dist.weights[i] * (ih - idv))
     return fsum(terms)
+
+
+def _class_conditional(dist, label):
+    """The same-class points of dist, weights renormalized."""
+    mask = dist.labels == label
+    w = dist.weights[mask]
+    return FiniteDistribution(dist.embeddings[mask], dist.labels[mask], w / w.sum())
 
 
 def _random_dist(rng, n_classes, per_class, z):
@@ -95,14 +102,6 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError):
             FiniteDistribution.uniform(np.eye(3), np.arange(2))
 
-    def test_restriction_renormalizes(self):
-        d = FiniteDistribution(
-            np.eye(3), np.array([0, 0, 1]), np.array([0.2, 0.3, 0.5])
-        )
-        r = d.restricted_to_class(0)
-        assert r.n_points == 2
-        assert np.allclose(r.weights, [0.4, 0.6])
-
 
 class TestHebbianInformation:
     def test_single_identical_positive_is_zero(self):
@@ -122,10 +121,10 @@ class TestHebbianInformation:
         rng = np.random.default_rng(7)
         for kernel in (AffineCosine(), ExponentialTemp(tau=0.7)):
             d = _random_dist(rng, 3, 4, 6)
-            for i in range(d.n_points):
+            for i in range(d.embeddings.shape[0]):
                 label = int(d.labels[i])
                 got = hebbian_information(
-                    d.embeddings[i], label, d.restricted_to_class(label), kernel
+                    d.embeddings[i], label, _class_conditional(d, label), kernel
                 )
                 want = oracle_hebbian(d.embeddings[i], label, d, kernel)
                 assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
@@ -239,17 +238,17 @@ class TestMhmlBound:
         ih = fsum(
             emp.weights[i]
             * oracle_hebbian(emp.embeddings[i], int(emp.labels[i]), emp, kernel)
-            for i in range(emp.n_points)
+            for i in range(emp.embeddings.shape[0])
         )
         id_mem = fsum(
             emp.weights[i]
             * oracle_distinctiveness(emp.embeddings[i], None, mem, kernel)
-            for i in range(emp.n_points)
+            for i in range(emp.embeddings.shape[0])
         )
         id_oracle = fsum(
             oracle.weights[i]
             * oracle_distinctiveness(oracle.embeddings[i], None, oracle, kernel)
-            for i in range(oracle.n_points)
+            for i in range(oracle.embeddings.shape[0])
         )
         want = lam * ih - id_mem + abs(id_mem - id_oracle)
         got = mhml_bound(emp, mem, oracle, kernel, rho_min, c)

@@ -15,9 +15,10 @@ from duelmem.kernels import (
     normalize,
     pair_scores,
 )
-from duelmem.memory import ActiveMemory, EvictionEvent, guarded_update
+from duelmem.memory import ActiveMemory, guarded_update
 from duelmem.verify import (
     NaiveDuel,
+    affine_duel_replay,
     check_cache_coherence,
     check_incremental_matches_naive,
     check_selection_equivalence,
@@ -78,7 +79,8 @@ class TestWorkedExample:
     def test_push_evicts_the_duplicate(self):
         mem = self._memory()
         events = mem.push_batch(E3[None, :], np.array([2]))
-        assert events == [EvictionEvent(evicted=0, inserted=3)]
+        assert events.victims.tolist() == [0]
+        assert events.inserted.tolist() == [3]
         assert np.array_equal(mem.embeddings, np.array([E1, E2, E3]))
         assert np.array_equal(mem.labels, [0, 1, 2])
 
@@ -99,20 +101,18 @@ class TestFillPhase:
     def test_appends_below_capacity(self):
         mem = ActiveMemory(2, 3, AffineCosine())
         events = mem.push_batch(E1[None, :], np.array([0]))
-        assert events == [EvictionEvent(evicted=None, inserted=0)]
-        assert mem.size == 1 and not mem.is_full
+        assert events.victims.tolist() == [-1]
+        assert events.inserted.tolist() == [0]
+        assert mem.size == 1 and mem.size != mem.capacity
 
     def test_fill_then_replace_in_one_call(self):
         mem = ActiveMemory(2, 3, AffineCosine())
         events = mem.push_batch(np.array([E1, E1, E2]), np.array([0, 0, 1]))
-        assert events[0] == EvictionEvent(None, 0)
-        assert events[1] == EvictionEvent(None, 1)
-        # Third item replaces one of the duplicated e1 rows.
-        assert events[2].evicted in (0, 1)
-        assert mem.size == 2
-        # The same push as arrays: -1 marks an append.
-        assert events.victims.tolist() == [-1, -1, events[2].evicted]
+        # -1 marks an append; the third item replaces one of the duplicated
+        # e1 rows.
+        assert events.victims.tolist() in ([-1, -1, 0], [-1, -1, 1])
         assert events.inserted.tolist() == [0, 1, 2]
+        assert mem.size == 2
 
     def test_capacity_never_exceeded(self):
         rng = np.random.default_rng(0)
@@ -120,7 +120,7 @@ class TestFillPhase:
         for _ in range(6):
             mem.push_batch(_unit(rng, 5, 4))
             assert mem.size <= 8
-        assert mem.is_full
+        assert mem.size == mem.capacity
 
 
 class TestIncrementalFill:
@@ -216,7 +216,7 @@ class TestIncrementalNaiveEquivalence:
         mem = ActiveMemory.from_arrays(emb, np.zeros(10, int))
         expected_victim = mem.duel_select_by_score()
         events = mem.push_batch(_unit(rng, 1, 4))
-        assert events[0].evicted == expected_victim
+        assert events.victims.tolist() == [expected_victim]
 
     def test_duplicate_flood_matches_naive(self):
         # A batch of identical vectors into a diverse memory: the two paths
@@ -245,27 +245,6 @@ def _clustered(rng, n, z, classes=6, repeat_share=0.1):
             src = int(rng.integers(i))
             X[i], labels[i] = X[src], labels[src]
     return X, labels
-
-
-def _affine_replay(E0, batches):
-    """DUEL victims from the affine closed form of the row sums over the
-    held set, sum_j q(e_i, e_j) = (n + e_i . sum_j e_j) / 2. The held sum is
-    taken afresh at each push and updated per replacement within it."""
-    held, victims = E0, []
-    for batch in batches:
-        pool = np.vstack([held, batch])
-        sel = np.zeros(pool.shape[0], dtype=bool)
-        sel[: held.shape[0]] = True
-        total = held.sum(axis=0)
-        for i in range(held.shape[0], pool.shape[0]):
-            sums = np.where(sel, (held.shape[0] + pool @ total) / 2.0, -np.inf)
-            j = int(np.flatnonzero(sums >= sums.max() - 1e-9)[0])
-            victims.append(j)
-            sel[j] = False
-            sel[i] = True
-            total += pool[i] - pool[j]
-        held = pool[sel]
-    return victims, held
 
 
 def _drift(mem):
@@ -304,7 +283,7 @@ class TestLongHorizon:
             victims += [e.evicted for e in mem.push_batch(batch)]
             if p % 1000 == 999:
                 assert _drift(mem) <= 1e-9, f"push {p}"
-        expected, held = _affine_replay(X[:k], batches)
+        expected, held = affine_duel_replay(X[:k], batches)
         assert victims == expected
         assert np.array_equal(mem.embeddings, held)
 
@@ -579,11 +558,12 @@ class TestSettle:
         assert _settled(events, k) == list(range(b - 1))
 
     # Run lengths on and around every block boundary. Blocks start after three
-    # settled rows and are as long as the run so far (3, 6, 12, 24, then 32
-    # at most), so runs of 3, 6, 12, 24, 48 and 80 rows end on a block's last
-    # row; the lengths at powers of two and one beside them end inside one.
+    # settled rows and are as long as the run so far (3, 6, 12, 24, 48 rows,
+    # the rest of the batch at most), so runs of 3, 6, 12, 24, 48 and 96 rows
+    # end on a block's last row; the lengths at powers of two and one beside
+    # them end inside one.
     RUNS = (1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 23, 24, 25)
-    RUNS += (31, 33, 47, 48, 49, 63, 79, 80, 81)
+    RUNS += (31, 33, 47, 48, 49, 63, 79, 80, 81, 95, 96, 97)
 
     @pytest.mark.parametrize(
         "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
@@ -764,7 +744,7 @@ class TestDriftGuard:
         monkeypatch.setattr(memory_module, "_DRIFT_TOL", np.inf)
         fast, _, batch = self._memories()
         wrong = self._perturb(fast)
-        assert fast.push_batch(batch)[0].evicted == wrong
+        assert fast.push_batch(batch).victims[0] == wrong
         assert _drift(fast) > 1e-9
 
     def test_guard_fires_on_a_row_from_the_victim_block(self, monkeypatch):
@@ -801,7 +781,7 @@ class TestBaselinePolicies:
     def test_fifo_evicts_oldest(self):
         mem = ActiveMemory.from_arrays(np.eye(3), np.arange(3), policy="fifo")
         events = mem.push_batch(normalize(np.ones(3))[None, :], np.array([3]))
-        assert events[0].evicted == 0
+        assert events.victims.tolist() == [0]
         assert int(mem.insert_steps.min()) == 1
 
     def test_fifo_rotates_through_slots(self):
@@ -810,7 +790,7 @@ class TestBaselinePolicies:
         victims = []
         for _ in range(3):
             events = mem.push_batch(_unit(rng, 1, 3))
-            victims.append(events[0].evicted)
+            victims += events.victims.tolist()
         assert sorted(victims) == [0, 1, 2]
 
     @staticmethod
@@ -840,7 +820,8 @@ class TestBaselinePolicies:
         victims, steps = self._fifo_reference(mem.insert_steps, seen, b)
         batch = _unit(rng, b, 5)
         events = mem.push_batch(batch, np.arange(b))
-        assert events == [EvictionEvent(v, seen + r) for r, v in enumerate(victims)]
+        assert events.victims.tolist() == victims
+        assert events.inserted.tolist() == list(range(seen, seen + b))
         assert np.array_equal(mem.insert_steps, steps)
         assert np.array_equal(mem.embeddings[victims[-k:]], batch[-k:])
         assert np.array_equal(mem.labels[victims[-k:]], np.arange(b)[-k:])
