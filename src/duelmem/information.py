@@ -6,10 +6,13 @@ Everything here is computed by direct enumeration in float64:
   distinctiveness          I_d(x) = -log E_{x' ~ reference}[q(x, x')]
   contrastive objective    L      = E_x[I_h(x) - I_d(x)]
 
-where q is a duplication-probability kernel. With a LabelOracle kernel and a
-class-balanced distribution the objective reaches its optimum -log |C|, and
--log |C| lower-bounds it for every balanced distribution regardless of the
-kernel or embedding geometry.
+where q is a duplication-probability kernel, which reads only the
+embeddings. Labels define the class conditionals the Hebbian term averages
+over, and nothing else. When q is 1 within a class and 0 across classes, as
+an exponential kernel with a small temperature gives on one-hot class
+embeddings, a class-balanced distribution reaches the optimum -log |C|; and
+-log |C| lower-bounds the objective for every balanced distribution
+regardless of the kernel or embedding geometry.
 """
 
 from __future__ import annotations
@@ -122,10 +125,7 @@ class FiniteDistribution:
 
 
 def hebbian_information(
-    anchor: np.ndarray,
-    anchor_label: int,
-    positives: FiniteDistribution,
-    kernel: Kernel,
+    anchor: np.ndarray, positives: FiniteDistribution, kernel: Kernel
 ) -> float:
     """Weighted mean of -log q(anchor, x+) over the positive distribution.
 
@@ -133,34 +133,19 @@ def hebbian_information(
     included). Returns +inf, with an InfiniteInformationWarning, if any
     positive has zero duplication probability with the anchor.
     """
-    Q = pair_scores(
-        anchor[None, :],
-        positives.embeddings,
-        kernel,
-        np.asarray([anchor_label]),
-        positives.labels,
-    )
+    Q = pair_scores(anchor[None, :], positives.embeddings, kernel)
     return float(_hebbian_rows(Q, positives.weights, "hebbian_information")[0])
 
 
 def distinctiveness_information(
-    anchor: np.ndarray,
-    reference: FiniteDistribution,
-    kernel: Kernel,
-    anchor_label: int | None = None,
+    anchor: np.ndarray, reference: FiniteDistribution, kernel: Kernel
 ) -> float:
     """-log of the weighted mean duplication probability against reference.
 
     Returns +inf (flagged) when the mean probability is zero, i.e. the
     anchor duplicates nothing in the reference.
     """
-    Q = pair_scores(
-        anchor[None, :],
-        reference.embeddings,
-        kernel,
-        None if anchor_label is None else np.asarray([anchor_label]),
-        reference.labels,
-    )
+    Q = pair_scores(anchor[None, :], reference.embeddings, kernel)
     i_d = _distinctiveness_rows(Q, reference.weights, "distinctiveness_information")
     return float(i_d[0])
 
@@ -173,7 +158,7 @@ def hml_loss(dist: FiniteDistribution, kernel: Kernel) -> float:
     distinctiveness reference is the whole distribution. Infinities
     propagate flagged; an anchor hitting inf - inf yields nan.
     """
-    Q = self_scores(dist.embeddings, kernel, dist.labels)
+    Q = self_scores(dist.embeddings, kernel)
     i_h = _hebbian_rows(Q, _class_conditionals(dist), "hml_loss hebbian term")
     i_d = _distinctiveness_rows(Q, dist.weights, "hml_loss distinctiveness term")
     with np.errstate(invalid="ignore"):
@@ -207,12 +192,12 @@ def mhml_bound(
     per-class conditionals this dominates hml_loss(oracle, kernel).
     """
     lam = imbalance_lambda(n_classes, rho_min)
-    Q = self_scores(empirical.embeddings, kernel, empirical.labels)
+    Q = self_scores(empirical.embeddings, kernel)
     rows = _hebbian_rows(Q, _class_conditionals(empirical), "mhml_bound hebbian term")
     i_h = float(np.dot(empirical.weights, rows))
 
     def mean_distinctiveness(dist: FiniteDistribution, ref: FiniteDistribution) -> float:
-        Q = pair_scores(dist.embeddings, ref.embeddings, kernel, dist.labels, ref.labels)
+        Q = pair_scores(dist.embeddings, ref.embeddings, kernel)
         i_d = _distinctiveness_rows(Q, ref.weights, "mhml_bound distinctiveness term")
         return float(np.dot(dist.weights, i_d))
 

@@ -1,8 +1,8 @@
 """Similarity kernels that turn embedding geometry into duplication probabilities.
 
-A kernel maps a pair of unit embeddings (or their hidden labels) to the
-probability q in [0, 1] that the two samples are duplicates, i.e. share a
-latent class.
+A kernel maps the cosine of a pair of unit embeddings to the probability
+q in [0, 1] that the two samples are duplicates, i.e. share a latent class.
+No kernel reads labels: duplication is a property of the geometry alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ __all__ = [
     "ExponentialTemp",
     "KERNEL_FORMS",
     "Kernel",
-    "LabelOracle",
     "cosine",
     "mdp",
     "normalize",
@@ -77,29 +76,14 @@ class AffineCosine:
         return q
 
 
-@dataclass(frozen=True)
-class LabelOracle:
-    """q = 1 iff hidden labels match.
-
-    Stands in for a perfect extractor in diagnostics and tests; it is the
-    only kernel that reads labels.
-    """
-
-
-Kernel = ExponentialTemp | AffineCosine | LabelOracle
+Kernel = ExponentialTemp | AffineCosine
 
 # The JSON tag of each kernel class. Configs and checkpoints both store a
 # kernel as {"form": tag, **parameters}.
-KERNEL_FORMS = {"affine": AffineCosine, "exp": ExponentialTemp, "oracle": LabelOracle}
+KERNEL_FORMS = {"affine": AffineCosine, "exp": ExponentialTemp}
 
 
-def pair_scores(
-    X: np.ndarray,
-    Y: np.ndarray,
-    kernel: Kernel,
-    labels_x: np.ndarray | None = None,
-    labels_y: np.ndarray | None = None,
-) -> np.ndarray:
+def pair_scores(X: np.ndarray, Y: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Duplication probabilities for every (row of X, row of Y) pair.
 
     X is (n, z), Y is (m, z); the result is (n, m). Cosines are clipped to
@@ -112,34 +96,16 @@ def pair_scores(
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise ValueError("pair_scores expects 2-d inputs with matching width")
-    if isinstance(kernel, LabelOracle):
-        if labels_x is None or labels_y is None:
-            raise ValueError("LabelOracle kernel requires labels for both sides")
-        lx = np.asarray(labels_x).reshape(-1, 1)
-        ly = np.asarray(labels_y).reshape(1, -1)
-        return (lx == ly).astype(np.float64)
     s = X @ Y.T
     s.clip(-1.0, 1.0, out=s)
     return kernel.from_cosine_inplace(s)
 
 
-def self_scores(
-    X: np.ndarray, kernel: Kernel, labels: np.ndarray | None = None
-) -> np.ndarray:
+def self_scores(X: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Square matrix of pairwise duplication probabilities within X."""
-    return pair_scores(X, X, kernel, labels, labels)
+    return pair_scores(X, X, kernel)
 
 
-def mdp(
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel: Kernel,
-    label_a: int | None = None,
-    label_b: int | None = None,
-) -> float:
+def mdp(a: np.ndarray, b: np.ndarray, kernel: Kernel) -> float:
     """Mutual duplication probability of a single embedding pair."""
-    if isinstance(kernel, LabelOracle):
-        if label_a is None or label_b is None:
-            raise ValueError("LabelOracle kernel requires labels for both sides")
-        return 1.0 if label_a == label_b else 0.0
     return float(kernel.from_cosine(cosine(a, b)))

@@ -110,7 +110,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AffineCosine, Kernel, LabelOracle, pair_scores
+from .kernels import AffineCosine, Kernel, pair_scores
 # Unused here, but the benchmark's tracer patches memory.self_scores by name.
 from .kernels import self_scores  # noqa: F401
 from .streams import csv_row
@@ -208,8 +208,8 @@ class ActiveMemory:
     """Fixed-capacity store of unit embeddings under one eviction policy,
     fixed at construction.
 
-    Labels ride along for diagnostics only; no policy reads them unless the
-    kernel itself is a LabelOracle (a test fixture).
+    Labels ride along for diagnostics only: kernels read embeddings alone,
+    so no policy reads them.
     """
 
     def __init__(
@@ -295,31 +295,19 @@ class ActiveMemory:
 
     # -- scores -----------------------------------------------------------
 
-    def _kernel_labels(self, labels: np.ndarray) -> np.ndarray | None:
-        if isinstance(self.kernel, LabelOracle):
-            if np.any(labels == UNLABELED):
-                raise ValueError("LabelOracle kernel requires labeled entries")
-            return labels
-        return None
-
-    def _row_sums(self, X, Y, labels_x, labels_y) -> np.ndarray:
+    def _row_sums(self, X, Y) -> np.ndarray:
         """Row sums of q(X, Y), _ROW_BLOCK rows of X at a time, so that no
-        len(X) x len(Y) matrix is ever live.
-
-        Labels are passed as the kernel reads them (see _kernel_labels).
-        """
+        len(X) x len(Y) matrix is ever live."""
         out = np.empty(X.shape[0])
         for start in range(0, X.shape[0], _ROW_BLOCK):
             rows = slice(start, start + _ROW_BLOCK)
-            lx = None if labels_x is None else labels_x[rows]
-            out[rows] = pair_scores(X[rows], Y, self.kernel, lx, labels_y).sum(axis=1)
+            out[rows] = pair_scores(X[rows], Y, self.kernel).sum(axis=1)
         return out
 
     def recomputed_scores(self) -> np.ndarray:
         """Row sums recomputed from scratch; the cache-coherence oracle."""
         E = self._emb[: self._count]
-        labels = self._kernel_labels(self._labels[: self._count])
-        return self._row_sums(E, E, labels, labels)
+        return self._row_sums(E, E)
 
     def _refresh_scores(self) -> np.ndarray:
         """Recompute the cache and return the new row sums."""
@@ -368,8 +356,6 @@ class ActiveMemory:
             lab = np.asarray(labels, dtype=np.int64).reshape(-1)
             if lab.shape[0] != X.shape[0]:
                 raise ValueError("labels must align with the batch")
-        if isinstance(self.kernel, LabelOracle) and labels is None:
-            raise ValueError("LabelOracle kernel requires labeled entries")
 
         m = min(X.shape[0], self.capacity - self._count)
         appended = np.arange(self._seen, self._seen + m)
@@ -397,10 +383,8 @@ class ActiveMemory:
         self._steps[c0:c1] = self._seen + np.arange(m)
         self._count, self._seen = c1, self._seen + m
         E = self._emb[:c1]
-        kl = self._kernel_labels(self._labels[:c1])
-        held, new = (None, None) if kl is None else (kl[:c0], kl[c0:])
-        self._scores[:c0] += self._row_sums(E[:c0], E[c0:], held, new)
-        self._scores[c0:c1] = self._row_sums(E[c0:], E, new, kl)
+        self._scores[:c0] += self._row_sums(E[:c0], E[c0:])
+        self._scores[c0:c1] = self._row_sums(E[c0:], E)
 
     def _compact(self, selection, emb, labels, ids, live_scores) -> None:
         """Write the selected pool rows into the memory's arrays, in order.
@@ -426,10 +410,9 @@ class ActiveMemory:
         ids = np.concatenate(
             [self._steps[:k], self._seen + np.arange(b, dtype=np.int64)]
         )
-        kl = self._kernel_labels(labels)
         # Row i - k of the b x (k+b) cross block is row i of the pool's score
         # matrix, for batch entry i.
-        cross = pair_scores(X, pool, self.kernel, None if kl is None else kl[k:], kl)
+        cross = pair_scores(X, pool, self.kernel)
         # Memory entries picked so far, and the victim block (see the module
         # docstring): the rows of the likely memory victims, built at the
         # second, with each entry's position in it.
@@ -451,12 +434,10 @@ class ActiveMemory:
                 ranked = live[:k].copy()
                 ranked[j] = np.inf
                 rows = np.argpartition(ranked, k - c)[k - c :]
-                lr = None if kl is None else kl[rows]
-                victim_block = pair_scores(pool[rows], pool, self.kernel, lr, kl)
+                victim_block = pair_scores(pool[rows], pool, self.kernel)
                 likely.update(zip(rows.tolist(), range(c)))
                 return victim_block[likely[j]]
-            lj = None if kl is None else kl[j : j + 1]
-            return pair_scores(pool[j : j + 1], pool, self.kernel, lj, kl)[0]
+            return pair_scores(pool[j : j + 1], pool, self.kernel)[0]
 
         # Deselected rows hold -inf in base, so the live scores need no mask:
         # delta takes whole rows, which is exact on the selected rows, and a
@@ -491,9 +472,8 @@ class ActiveMemory:
                 # r @ sel is j's exact row sum, a free probe of the cache.
                 if abs(r @ sel - live[j]) > _DRIFT_TOL:
                     held = np.flatnonzero(sel)
-                    lh = None if kl is None else kl[held]
                     base.fill(-np.inf)
-                    base[held] = self._row_sums(pool[held], pool[held], lh, lh)
+                    base[held] = self._row_sums(pool[held], pool[held])
                     delta.fill(0.0)
                     j = _tied_argmax(base)
                     r = row(j)
@@ -595,11 +575,7 @@ class ActiveMemory:
 
     # -- probes and sampling ----------------------------------------------
 
-    def mean_distinctiveness(
-        self,
-        probe_embeddings: np.ndarray | None = None,
-        probe_labels: np.ndarray | None = None,
-    ) -> float:
+    def mean_distinctiveness(self, probe_embeddings: np.ndarray | None = None) -> float:
         """Mean -log(mean duplication score against memory) over the probe.
 
         Defaults to probing with the memory's own entries. Their row sums are
@@ -609,17 +585,10 @@ class ActiveMemory:
         if self._count == 0:
             raise ValueError("memory is empty")
         if probe_embeddings is None:
-            if probe_labels is not None:
-                raise ValueError("probe_labels given without probe_embeddings")
             sums = self._refresh_scores() if self._stale else self.recomputed_scores()
         else:
-            if isinstance(self.kernel, LabelOracle) and probe_labels is None:
-                raise ValueError("LabelOracle kernel requires probe labels")
             sums = self._row_sums(
-                np.asarray(probe_embeddings, dtype=np.float64),
-                self._emb[: self._count],
-                None if probe_labels is None else np.asarray(probe_labels),
-                self._kernel_labels(self._labels[: self._count]),
+                np.asarray(probe_embeddings, dtype=np.float64), self._emb[: self._count]
             )
         with np.errstate(divide="ignore"):
             distinct = -np.log(sums / self._count)
@@ -706,8 +675,7 @@ class ActiveMemory:
             raise ValueError("emb: stored entries contain non-finite values")
         if not np.all(np.abs(np.linalg.norm(emb[:count], axis=1) - 1.0) <= 1e-9):
             raise ValueError("emb: stored entries must be unit-norm within 1e-9")
-        kl = self._kernel_labels(labels[:count])
-        exact = self._row_sums(emb[:count], emb[:count], kl, kl)
+        exact = self._row_sums(emb[:count], emb[:count])
         if not np.all(np.abs(scores[:count] - exact) <= 1e-9):
             raise ValueError("scores: cached row sums differ from a recompute by > 1e-9")
         rng_from_state(state["rng"], "rng")
@@ -749,7 +717,6 @@ def guarded_update(
     embeddings: np.ndarray,
     labels: np.ndarray | None,
     probe_embeddings: np.ndarray,
-    probe_labels: np.ndarray | None = None,
 ) -> tuple[PushResult, bool]:
     """Apply push_batch, reverting it if probe distinctiveness drops.
 
@@ -761,11 +728,11 @@ def guarded_update(
     probe_embeddings = np.asarray(probe_embeddings, dtype=np.float64)
     if probe_embeddings.size == 0:
         raise ValueError("probe must be nonempty")
-    before = mem.mean_distinctiveness(probe_embeddings, probe_labels)
+    before = mem.mean_distinctiveness(probe_embeddings)
     # _save, not state_dict: a revert needs no fresh scores.
     saved, stale = mem._save(), mem._stale
     events = mem.push_batch(embeddings, labels)
-    after = mem.mean_distinctiveness(probe_embeddings, probe_labels)
+    after = mem.mean_distinctiveness(probe_embeddings)
     if after < before - 1e-12:
         mem._restore(saved, stale)
         return events, False

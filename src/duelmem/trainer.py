@@ -454,9 +454,7 @@ def train_step(
     push_emb = normalize(push_emb)
     applied = True
     if state.guarded_memory:
-        events, applied = guarded_update(
-            state.memory, push_emb, labels, push_emb, labels
-        )
+        events, applied = guarded_update(state.memory, push_emb, labels, push_emb)
     else:
         events = state.memory.push_batch(push_emb, labels)
 

@@ -11,7 +11,8 @@ and keep their own copy of the tie rule, so they share no code with
 ActiveMemory's DUEL path beyond the kernels and PushResult. infonce_loss,
 the single-sample loss, and numerical_gradient, central finite differences,
 are the references the trainer's batched loss and analytic gradients are
-checked against.
+checked against. ORACLE_KERNEL on one-hot class embeddings stands in for a
+perfect extractor.
 """
 
 from __future__ import annotations
@@ -30,14 +31,7 @@ from .information import (
     hml_loss,
     mhml_bound,
 )
-from .kernels import (
-    AffineCosine,
-    ExponentialTemp,
-    LabelOracle,
-    mdp,
-    normalize,
-    pair_scores,
-)
+from .kernels import AffineCosine, ExponentialTemp, mdp, normalize, pair_scores
 from .memory import POLICIES, ActiveMemory, PushResult, guarded_update
 from .metrics import class_entropy, intra_class_variance, linear_probe
 from .streams import StreamConfig, Dominant, GaussianPairStream, longtail_probs, oracle_embedding_stream
@@ -55,12 +49,21 @@ from .trainer import (
 __all__ = [
     "CHECKS",
     "NaiveDuel",
+    "ORACLE_KERNEL",
     "affine_duel_replay",
     "infonce_loss",
     "naive_select",
     "numerical_gradient",
     "run_all",
 ]
+
+
+# A perfect extractor's kernel. On one-hot class embeddings eye[labels] the
+# cosines are exactly 1 within a class and 0 across classes, so q is
+# exp(0) = 1 for a shared class and exp(-1000), which underflows to exactly
+# 0.0, otherwise: the label-match matrix, bit for bit, with no kernel reading
+# a label.
+ORACLE_KERNEL = ExponentialTemp(tau=1e-3)
 
 
 def _random_unit(rng, n, z):
@@ -115,26 +118,30 @@ def check_kernel_invariants(quick: bool) -> tuple[bool, str]:
         if i_d < -1e-12:
             return False, "distinctiveness negative"
         pos = FiniteDistribution.uniform(_random_unit(rng, 4, z), np.zeros(4, int))
-        i_h = hebbian_information(a, 0, pos, k)
+        i_h = hebbian_information(a, pos, k)
         if i_h < -1e-12:
             return False, "hebbian information negative"
         # Jensen: mean of -log q >= -log of mean q.
-        q_row = pair_scores(a[None, :], pos.embeddings, k, np.array([0]), pos.labels)[0]
+        q_row = pair_scores(a[None, :], pos.embeddings, k)[0]
         if i_h < -math.log(float(q_row.mean())) - 1e-9:
             return False, "Jensen consistency violated"
     return True, f"{trials} random pairs"
 
 
 def check_balanced_oracle_optimum(quick: bool) -> tuple[bool, str]:
-    """LabelOracle on a balanced distribution attains exactly -log |C|,
-    with equal or unequal weights within each class."""
+    """ORACLE_KERNEL on a balanced distribution of one-hot class embeddings
+    attains exactly -log |C|, with equal or unequal weights within each
+    class."""
     rng = np.random.default_rng(12)
     worst = 0.0
     for n_classes in (2, 3, 5, 10):
         for uniform in (False, True):
             per_class = int(rng.integers(1, 5))
             dist = _balanced_distribution(rng, n_classes, per_class, 8, uniform)
-            loss = hml_loss(dist, LabelOracle())
+            one_hot = np.eye(n_classes)[dist.labels]
+            loss = hml_loss(
+                FiniteDistribution(one_hot, dist.labels, dist.weights), ORACLE_KERNEL
+            )
             worst = max(worst, abs(loss + math.log(n_classes)))
     ok = worst < 1e-9
     return ok, f"max |loss + ln C| = {worst:.2e}"
@@ -226,7 +233,7 @@ class NaiveDuel:
         pool = np.vstack([self.embeddings, X])
         pool_labels = np.concatenate([self.labels, _as_labels(labels, b)])
         ids = np.concatenate([self.insert_steps, self._seen + np.arange(b)])
-        S = pair_scores(pool, pool, self.kernel, pool_labels, pool_labels)
+        S = pair_scores(pool, pool, self.kernel)
         selection = np.arange(k + b) < k
         victims = []
         for i in range(k, k + b):
@@ -262,16 +269,8 @@ def affine_duel_replay(E0, batches) -> tuple[list[int], np.ndarray]:
 def naive_select(mem: ActiveMemory) -> int:
     """The entry `mem` would evict under DUEL, from a full recompute of its
     score matrix: the largest row sum, lowest index on ties."""
-    E, labels = mem.embeddings, mem.labels
-    return _first_max(pair_scores(E, E, mem.kernel, labels, labels).sum(axis=1))
-
-
-def _random_memory(rng, k, z, kernel=None, policy="duel"):
-    emb = _random_unit(rng, k, z)
-    labels = rng.integers(0, 5, size=k)
-    return ActiveMemory.from_arrays(
-        emb, labels, kernel=kernel or _random_kernel(rng), policy=policy
-    )
+    E = mem.embeddings
+    return _first_max(pair_scores(E, E, mem.kernel).sum(axis=1))
 
 
 def check_selection_equivalence(quick: bool) -> tuple[bool, str]:
@@ -343,6 +342,10 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
             return events, "eviction logs diverge"
         if not np.array_equal(fast.embeddings, slow.embeddings):
             return events, "contents diverge"
+        if not np.array_equal(fast.labels, slow.labels):
+            return events, "labels diverge"
+        if not np.array_equal(fast.insert_steps, slow.insert_steps):
+            return events, "insert ids diverge"
         if np.max(np.abs(fast.scores - fast.recomputed_scores())) > 1e-9:
             return events, "incremental score cache drifted beyond 1e-9"
         return events, None
@@ -447,21 +450,29 @@ def check_cache_coherence(quick: bool) -> tuple[bool, str]:
 
     The baselines leave the cache stale, and every reader must recompute it
     first. So before the drift read, which refreshes it, duel_select_by_score
-    must agree with naive_select on each baseline memory. They run under
-    the label oracle, whose row sums are class counts: a selection read from
-    stale counts often names another class's row.
+    must agree with naive_select on each baseline memory. They hold one-hot
+    class embeddings under ORACLE_KERNEL, whose row sums are class counts: a
+    selection read from stale counts often names another class's row.
     """
     rng = np.random.default_rng(17)
     trials = 10 if quick else 40
+    z = 8
+    eye = np.eye(z)
     for policy in POLICIES:
         baseline = policy != "duel"
         for _ in range(trials):
-            k, z = int(rng.integers(4, 32)), 8
-            kernel = LabelOracle() if baseline else None
-            mem = _random_memory(rng, k, z, kernel=kernel, policy=policy)
+            labels = rng.integers(0, 5, size=int(rng.integers(4, 32)))
+            if baseline:
+                mem = ActiveMemory.from_arrays(
+                    eye[labels], labels, kernel=ORACLE_KERNEL, policy=policy
+                )
+            else:
+                emb = _random_unit(rng, labels.size, z)
+                mem = ActiveMemory.from_arrays(emb, labels, kernel=_random_kernel(rng))
             for _ in range(3):
-                nb = int(rng.integers(1, 9))
-                mem.push_batch(_random_unit(rng, nb, z), rng.integers(0, 5, size=nb))
+                labels = rng.integers(0, 5, size=int(rng.integers(1, 9)))
+                batch = eye[labels] if baseline else _random_unit(rng, labels.size, z)
+                mem.push_batch(batch, labels)
             if baseline and mem.duel_select_by_score() != naive_select(mem):
                 return False, f"{policy}: selection read a stale cache"
             drift = np.max(np.abs(mem.scores - mem.recomputed_scores()))
@@ -471,7 +482,11 @@ def check_cache_coherence(quick: bool) -> tuple[bool, str]:
 
 
 def check_label_blindness(quick: bool) -> tuple[bool, str]:
-    """Permuting hidden labels never changes geometric-kernel evictions."""
+    """Permuting hidden labels never changes evictions.
+
+    No kernel takes labels, so no score can read them; this checks that no
+    other step of a DUEL push does either.
+    """
     rng = np.random.default_rng(18)
     trials = 10 if quick else 50
     for _ in range(trials):
@@ -495,8 +510,9 @@ def check_label_blindness(quick: bool) -> tuple[bool, str]:
 def check_safeness(quick: bool) -> tuple[bool, str]:
     """DUEL replacements never lower pre-mixture probe distinctiveness.
 
-    The second stream reads "before" through the default probe, the
-    memory's own entries as mean_distinctiveness() recomputes them.
+    The memory holds one-hot class embeddings under ORACLE_KERNEL. The
+    second stream reads "before" through the default probe, the memory's own
+    entries as mean_distinctiveness() recomputes them.
     """
     rng = np.random.default_rng(19)
     replacements = 1000 if quick else 10000
@@ -508,16 +524,16 @@ def check_safeness(quick: bool) -> tuple[bool, str]:
     worst = math.inf
     for k, probs, default_probe in streams:
         stream = oracle_embedding_stream(n_classes, rng, probs=probs)
-        mem = ActiveMemory(k, n_classes, LabelOracle(), policy="duel")
+        mem = ActiveMemory(k, n_classes, ORACLE_KERNEL, policy="duel")
         while mem.size < mem.capacity:
             e, c = next(stream)
             mem.push_batch(e[None, :], np.array([c]))
         for _ in range(replacements):
-            probe = mem.embeddings, mem.labels
-            before = mem.mean_distinctiveness(*() if default_probe else probe)
+            probe = mem.embeddings
+            before = mem.mean_distinctiveness(None if default_probe else probe)
             e, c = next(stream)
             mem.push_batch(e[None, :], np.array([c]))
-            after = mem.mean_distinctiveness(*probe)
+            after = mem.mean_distinctiveness(probe)
             worst = min(worst, after - before)
             if after < before - 1e-12:
                 return False, f"capacity {k}: distinctiveness dropped by {before - after:.3e}"
@@ -525,31 +541,25 @@ def check_safeness(quick: bool) -> tuple[bool, str]:
 
 
 def check_guarded_update(quick: bool) -> tuple[bool, str]:
-    """guarded_update keeps safe updates and reverts harmful ones."""
+    """guarded_update keeps safe updates and reverts harmful ones, on
+    one-hot class embeddings under ORACLE_KERNEL."""
     # Safe case: stream-mixture probe, imbalanced memory, minority arrival.
     rng = np.random.default_rng(20)
     eye = np.eye(4)
     emb = np.vstack([np.tile(eye[0], (18, 1)), np.tile(eye[1], (2, 1))])
     labels = np.array([0] * 18 + [1] * 2)
-    mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
-    probe_lab = np.array([0] * 9 + [1])  # mirrors the 0.9 / 0.1 stream
-    probe_emb = eye[probe_lab]
-    _, applied = guarded_update(
-        mem, eye[1][None, :], np.array([1]), probe_emb, probe_lab
-    )
+    mem = ActiveMemory.from_arrays(emb, labels, kernel=ORACLE_KERNEL)
+    probe_emb = eye[[0] * 9 + [1]]  # mirrors the 0.9 / 0.1 stream
+    _, applied = guarded_update(mem, eye[1][None, :], np.array([1]), probe_emb)
     if not applied:
         return False, "safe minority insertion was reverted"
     # Harmful case: balanced probe, skewed memory; the duplicate-eliminating
     # replacement lowers the balanced probe's distinctiveness.
     emb = np.vstack([np.tile(eye[0], (9, 1)), eye[1][None, :]])
     labels = np.array([0] * 9 + [1])
-    mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
+    mem = ActiveMemory.from_arrays(emb, labels, kernel=ORACLE_KERNEL)
     before = mem.labels
-    probe_lab = np.array([0, 1])
-    probe_emb = eye[probe_lab]
-    _, applied = guarded_update(
-        mem, eye[1][None, :], np.array([1]), probe_emb, probe_lab
-    )
+    _, applied = guarded_update(mem, eye[1][None, :], np.array([1]), eye[[0, 1]])
     if applied:
         return False, "harmful update was not reverted"
     if not np.array_equal(mem.labels, before):
@@ -635,7 +645,7 @@ def check_infonce_identity(quick: bool) -> tuple[bool, str]:
         kernel = ExponentialTemp(tau=tau)
         loss = infonce_loss(anchor, positive, negatives, tau, epsilon=0.0)
         pos_dist = FiniteDistribution.uniform(positive[None, :], np.zeros(1, int))
-        i_h = hebbian_information(anchor, 0, pos_dist, kernel)
+        i_h = hebbian_information(anchor, pos_dist, kernel)
         ref = FiniteDistribution.uniform(negatives, np.zeros(k, int))
         i_d = distinctiveness_information(anchor, ref, kernel)
         gap = abs(loss - (i_h - i_d + math.log(k)))

@@ -172,6 +172,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(tiny_config_dict(seeds=[3, 3]))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seeds: must be >= 0, got -3$"):
+            parse_config(tiny_config_dict(seeds=[0, -3]))
+
     @pytest.mark.parametrize(
         "field_name, value",
         [
@@ -212,9 +216,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="kernel"):
             parse_config(raw)
 
-        # The label-oracle kernel is a test fixture, not a runnable config.
+        # No kernel reads labels, so there is no label-oracle form.
         raw["memory"]["kernel"] = {"form": "oracle"}
-        with pytest.raises(ConfigError, match="form"):
+        with pytest.raises(ConfigError, match=r"^memory\.kernel\.form: "):
             parse_config(raw)
 
     def test_unknown_policy(self):
@@ -536,6 +540,31 @@ class TestCli:
         assert main(["run", "--config", cfg_path, "--out", str(out), "--seed", "7"]) == 0
         with open(out / "config.json") as fh:
             assert json.load(fh)["seed"] == 7
+
+    def test_run_negative_seed_names_the_field(self, tmp_path, capsys):
+        cfg_path = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg_path, "--out", str(out), "--seed", "-1"]) == 1
+        assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_export_negative_per_class_names_the_field(self, tmp_path, capsys):
+        # The count is checked before the checkpoint is read.
+        csv_path = tmp_path / "emb.csv"
+        code = main(
+            [
+                "export-embeddings",
+                "--ckpt",
+                str(tmp_path / "missing.npz"),
+                "--out",
+                str(csv_path),
+                "--per-class",
+                "-2",
+            ]
+        )
+        assert code == 1
+        assert "per_class: must be >= 0, got -2" in capsys.readouterr().err
+        assert not csv_path.exists()
 
     def test_bench_policies_command(self, tmp_path, capsys):
         raw = tiny_config_dict(seeds=[0])

@@ -15,39 +15,38 @@ from duelmem.information import (
     imbalance_lambda,
     mhml_bound,
 )
-from duelmem.kernels import AffineCosine, ExponentialTemp, LabelOracle, normalize
+from duelmem.kernels import AffineCosine, ExponentialTemp, normalize
+from duelmem.verify import ORACLE_KERNEL
 
 LN2 = 0.6931471805599453
 
 
-def _q(a, b, kernel, la=None, lb=None):
+def _q(a, b, kernel):
     """Scalar duplication probability, written independently of the library."""
-    if isinstance(kernel, LabelOracle):
-        return 1.0 if la == lb else 0.0
     s = min(1.0, max(-1.0, float(np.dot(a, b))))
     if isinstance(kernel, AffineCosine):
         return (1.0 + s) / 2.0
     return math.exp((s - 1.0) / kernel.tau)
 
 
-def oracle_hebbian(anchor, anchor_label, dist, kernel):
-    """I_h by direct enumeration over the anchor's class conditional."""
-    idx = [i for i in range(dist.embeddings.shape[0]) if dist.labels[i] == anchor_label]
+def oracle_hebbian(anchor, label, dist, kernel):
+    """I_h by direct enumeration over the class conditional of label, the
+    anchor's class."""
+    idx = [i for i in range(dist.embeddings.shape[0]) if dist.labels[i] == label]
     wc = fsum(dist.weights[i] for i in idx)
     terms = []
     for i in idx:
-        q = _q(anchor, dist.embeddings[i], kernel, anchor_label, dist.labels[i])
+        q = _q(anchor, dist.embeddings[i], kernel)
         if q == 0.0 and dist.weights[i] > 0:
             return math.inf
         terms.append((dist.weights[i] / wc) * -math.log(q))
     return fsum(terms)
 
 
-def oracle_distinctiveness(anchor, anchor_label, dist, kernel):
+def oracle_distinctiveness(anchor, dist, kernel):
     """I_d by direct enumeration against the whole reference."""
     mean_q = fsum(
-        dist.weights[i]
-        * _q(anchor, dist.embeddings[i], kernel, anchor_label, dist.labels[i])
+        dist.weights[i] * _q(anchor, dist.embeddings[i], kernel)
         for i in range(dist.embeddings.shape[0])
     )
     if mean_q == 0.0:
@@ -60,9 +59,7 @@ def oracle_hml(dist, kernel):
     terms = []
     for i in range(dist.embeddings.shape[0]):
         ih = oracle_hebbian(dist.embeddings[i], dist.labels[i], dist, kernel)
-        idv = oracle_distinctiveness(
-            dist.embeddings[i], dist.labels[i], dist, kernel
-        )
+        idv = oracle_distinctiveness(dist.embeddings[i], dist, kernel)
         terms.append(dist.weights[i] * (ih - idv))
     return fsum(terms)
 
@@ -106,13 +103,13 @@ class TestFiniteDistribution:
 class TestHebbianInformation:
     def test_single_identical_positive_is_zero(self):
         d = FiniteDistribution.uniform(np.eye(2)[:1], np.zeros(1, int))
-        assert hebbian_information(np.eye(2)[0], 0, d, AffineCosine()) == 0.0
+        assert hebbian_information(np.eye(2)[0], d, AffineCosine()) == 0.0
 
     def test_two_positive_cosines_one_and_zero(self):
         # q = {exp(0), exp(-2)} at tau = 0.5; mean of -log q = (0 + 2)/2.
         anchor = np.array([1.0, 0.0])
         d = FiniteDistribution.uniform(np.eye(2), np.zeros(2, int))
-        got = hebbian_information(anchor, 0, d, ExponentialTemp(tau=0.5))
+        got = hebbian_information(anchor, d, ExponentialTemp(tau=0.5))
         assert math.isclose(got, 1.0, abs_tol=1e-12)
 
     def test_matches_oracle_on_random_data(self):
@@ -124,7 +121,7 @@ class TestHebbianInformation:
             for i in range(d.embeddings.shape[0]):
                 label = int(d.labels[i])
                 got = hebbian_information(
-                    d.embeddings[i], label, _class_conditional(d, label), kernel
+                    d.embeddings[i], _class_conditional(d, label), kernel
                 )
                 want = oracle_hebbian(d.embeddings[i], label, d, kernel)
                 assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
@@ -134,7 +131,7 @@ class TestHebbianInformation:
         anchor = np.array([1.0, 0.0])
         d = FiniteDistribution.uniform(np.array([[-1.0, 0.0]]), np.zeros(1, int))
         with pytest.warns(InfiniteInformationWarning):
-            got = hebbian_information(anchor, 0, d, AffineCosine())
+            got = hebbian_information(anchor, d, AffineCosine())
         assert got == math.inf
 
 
@@ -151,24 +148,20 @@ class TestDistinctivenessInformation:
             d = _random_dist(rng, 4, 3, 5)
             anchor = normalize(rng.normal(size=5))
             got = distinctiveness_information(anchor, d, kernel)
-            want = oracle_distinctiveness(anchor, None, d, kernel)
+            want = oracle_distinctiveness(anchor, d, kernel)
             assert math.isclose(got, want, rel_tol=0, abs_tol=1e-12)
 
     def test_label_oracle_reads_class_mass(self):
-        d = FiniteDistribution(
-            np.eye(3), np.array([0, 0, 1]), np.array([0.45, 0.45, 0.1])
-        )
-        got = distinctiveness_information(
-            np.eye(3)[2], d, LabelOracle(), anchor_label=1
-        )
+        labels = np.array([0, 0, 1])
+        d = FiniteDistribution(np.eye(3)[labels], labels, np.array([0.45, 0.45, 0.1]))
+        got = distinctiveness_information(np.eye(3)[1], d, ORACLE_KERNEL)
         assert math.isclose(got, -math.log(0.1), abs_tol=1e-12)
 
     def test_disjoint_class_is_infinite(self):
-        d = FiniteDistribution.uniform(np.eye(2), np.zeros(2, int))
+        labels = np.zeros(2, int)
+        d = FiniteDistribution.uniform(np.eye(6)[labels], labels)
         with pytest.warns(InfiniteInformationWarning):
-            got = distinctiveness_information(
-                np.eye(2)[0], d, LabelOracle(), anchor_label=5
-            )
+            got = distinctiveness_information(np.eye(6)[5], d, ORACLE_KERNEL)
         assert got == math.inf
 
 
@@ -182,8 +175,10 @@ class TestHmlLoss:
 
     def test_matches_oracle_on_random_data(self):
         rng = np.random.default_rng(9)
-        for kernel in (AffineCosine(), ExponentialTemp(tau=0.5), LabelOracle()):
+        for kernel in (AffineCosine(), ExponentialTemp(tau=0.5), ORACLE_KERNEL):
             d = _random_dist(rng, 3, 3, 7)
+            if kernel is ORACLE_KERNEL:
+                d = FiniteDistribution(np.eye(7)[d.labels], d.labels, d.weights)
             assert math.isclose(
                 hml_loss(d, kernel), oracle_hml(d, kernel), abs_tol=1e-12
             )
@@ -242,12 +237,12 @@ class TestMhmlBound:
         )
         id_mem = fsum(
             emp.weights[i]
-            * oracle_distinctiveness(emp.embeddings[i], None, mem, kernel)
+            * oracle_distinctiveness(emp.embeddings[i], mem, kernel)
             for i in range(emp.embeddings.shape[0])
         )
         id_oracle = fsum(
             oracle.weights[i]
-            * oracle_distinctiveness(oracle.embeddings[i], None, oracle, kernel)
+            * oracle_distinctiveness(oracle.embeddings[i], oracle, kernel)
             for i in range(oracle.embeddings.shape[0])
         )
         want = lam * ih - id_mem + abs(id_mem - id_oracle)

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from duelmem.kernels import (
     AffineCosine,
     ExponentialTemp,
-    LabelOracle,
     cosine,
     mdp,
     normalize,
     pair_scores,
     self_scores,
 )
+from duelmem.verify import ORACLE_KERNEL
 
 
 def _unit(rng: np.random.Generator, n: int, z: int) -> np.ndarray:
@@ -99,17 +99,6 @@ class TestKernelForms:
         assert np.array_equal(s, np.linspace(-1.0, 1.0, 9))
         assert np.array_equal(q, [kernel.from_cosine(float(v)) for v in s])
 
-    def test_label_oracle_matches_labels_only(self):
-        k = LabelOracle()
-        a, b = np.eye(2)
-        assert mdp(a, b, k, label_a=3, label_b=3) == 1.0
-        assert mdp(a, a, k, label_a=0, label_b=1) == 0.0
-
-    def test_label_oracle_requires_labels(self):
-        a, b = np.eye(2)
-        with pytest.raises(ValueError):
-            mdp(a, b, LabelOracle())
-
 
 class TestPairScores:
     def test_shape_and_symmetry(self):
@@ -174,11 +163,13 @@ class TestPairScores:
         assert np.allclose(S, S.T)
 
     def test_label_oracle_pairwise(self):
-        X = np.eye(3)
-        labels = np.array([0, 1, 0])
-        S = self_scores(X, LabelOracle(), labels)
+        # ORACLE_KERNEL on one-hot class embeddings is the label-match
+        # matrix exactly, whether or not the embedding has spare dimensions.
+        labels = np.array([0, 1, 0, 2, 2, 1, 0])
         expected = (labels[:, None] == labels[None, :]).astype(float)
-        assert np.array_equal(S, expected)
+        for z in (3, 5):
+            X = np.eye(z)[labels]
+            assert np.array_equal(pair_scores(X, X, ORACLE_KERNEL), expected), z
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,12 +11,12 @@ import duelmem.memory as memory_module
 from duelmem.kernels import (
     AffineCosine,
     ExponentialTemp,
-    LabelOracle,
     normalize,
     pair_scores,
 )
 from duelmem.memory import ActiveMemory, guarded_update
 from duelmem.verify import (
+    ORACLE_KERNEL,
     NaiveDuel,
     affine_duel_replay,
     check_cache_coherence,
@@ -45,11 +45,11 @@ def _count_entries(monkeypatch) -> list[int]:
     return entries
 
 
-def _filled(rng, k, z, kernel=None, policy="duel", classes=5, seed=0):
+def _filled(rng, k, z, policy="duel", classes=5, seed=0):
     return ActiveMemory.from_arrays(
         _unit(rng, k, z),
         rng.integers(0, classes, size=k),
-        kernel=kernel or AffineCosine(),
+        kernel=AffineCosine(),
         policy=policy,
         seed=seed,
     )
@@ -131,7 +131,7 @@ class TestIncrementalFill:
     @pytest.mark.parametrize("batch", [7, 64])
     @pytest.mark.parametrize(
         "kernel",
-        [AffineCosine(), ExponentialTemp(tau=0.5), LabelOracle()],
+        [AffineCosine(), ExponentialTemp(tau=0.5), ORACLE_KERNEL],
         ids=["affine", "exp", "oracle"],
     )
     def test_fill_keeps_scores_coherent(self, kernel, batch, monkeypatch):
@@ -139,6 +139,8 @@ class TestIncrementalFill:
         n = 300
         rng = np.random.default_rng(44)
         X, labels = _unit(rng, n, 6), rng.integers(0, 4, size=n)
+        if kernel is ORACLE_KERNEL:
+            X = np.eye(6)[labels]
         mem = ActiveMemory(n, 6, kernel)
         for start in range(0, n, batch):
             events = mem.push_batch(X[start : start + batch], labels[start : start + batch])
@@ -167,11 +169,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             mem.push_batch(np.array([[np.nan, 0.0, 0.0]]))
 
-    def test_label_oracle_requires_labels(self):
-        mem = ActiveMemory(4, 3, LabelOracle())
-        with pytest.raises(ValueError):
-            mem.push_batch(E1[None, :])
-
     def test_unknown_policy_rejected(self):
         # The naive DUEL oracle lives in verify, not among the policies.
         for policy in ("lru", "duel_naive"):
@@ -191,15 +188,18 @@ class TestValidation:
 
 class TestIncrementalNaiveEquivalence:
     @pytest.mark.parametrize(
-        "kernel", [ExponentialTemp(tau=0.5), LabelOracle()], ids=["exp", "oracle"]
+        "kernel", [ExponentialTemp(tau=0.5), ORACLE_KERNEL], ids=["exp", "oracle"]
     )
     def test_batch_larger_than_memory_matches_naive(self, kernel):
         # Rows of the batch that are evicted again, or not yet inserted, sit
-        # at -inf in the live scores; the label oracle adds exact ties.
+        # at -inf in the live scores; one-hot rows under the oracle kernel
+        # add exact ties.
         rng = np.random.default_rng(43)
         for trial in range(20):
             emb, labels = _unit(rng, 5, 4), rng.integers(0, 3, size=5)
             batch, batch_labels = _unit(rng, 12, 4), rng.integers(0, 3, size=12)
+            if kernel is ORACLE_KERNEL:
+                emb, batch = np.eye(4)[labels], np.eye(4)[batch_labels]
             batch[3] = batch[0]
             batch[7] = emb[2]
             fast = ActiveMemory.from_arrays(emb, labels, kernel=kernel)
@@ -312,10 +312,15 @@ class TestLongHorizon:
 
     def test_baseline_scores_under_label_oracle(self):
         rng = np.random.default_rng(34)
+        eye = np.eye(5)
         for policy in ("fifo", "random", "reservoir"):
-            mem = _filled(rng, 12, 4, kernel=LabelOracle(), policy=policy, seed=6)
+            labels = rng.integers(0, 5, size=12)
+            mem = ActiveMemory.from_arrays(
+                eye[labels], labels, kernel=ORACLE_KERNEL, policy=policy, seed=6
+            )
             for _ in range(20):
-                mem.push_batch(_unit(rng, 5, 4), rng.integers(0, 5, size=5))
+                labels = rng.integers(0, 5, size=5)
+                mem.push_batch(eye[labels], labels)
             assert np.array_equal(mem.scores, mem.recomputed_scores()), policy
 
 
@@ -346,8 +351,10 @@ class TestLazyBaselineScores:
         # cache is a class-0 row, so only a fresh read picks a class-1 row.
         labels = np.array([3, 3, 0, 0, 0, 1, 1, 2])
         eye = np.eye(8)
-        mem = ActiveMemory.from_arrays(eye, labels, kernel=LabelOracle(), policy="fifo")
-        mem.push_batch(eye[:2], np.array([1, 1]))
+        mem = ActiveMemory.from_arrays(
+            eye[labels], labels, kernel=ORACLE_KERNEL, policy="fifo"
+        )
+        mem.push_batch(eye[[1, 1]], np.array([1, 1]))
         assert mem.duel_select_by_score() == naive_select(mem) == 0
 
     def _stale(self):
@@ -400,7 +407,7 @@ class TestDistinctivenessRead:
         assert sum(entries) == n * n
         monkeypatch.undo()
         # The same value, and the same cache bytes, as a refresh would give.
-        assert value == twin.mean_distinctiveness(twin.embeddings, twin.labels)
+        assert value == twin.mean_distinctiveness(twin.embeddings)
         assert mem.scores.tobytes() == twin.scores.tobytes()
 
     def test_duel_cache_is_left_as_it_is(self, monkeypatch):
@@ -418,13 +425,6 @@ class TestDistinctivenessRead:
         assert sum(entries) == n * n
         assert mem._scores.tobytes() == cached
         assert value == float(np.mean(-np.log(exact / n)))
-
-    def test_probe_labels_without_embeddings_rejected(self):
-        mem = self._stale()
-        with pytest.raises(ValueError, match="probe_labels"):
-            mem.mean_distinctiveness(probe_labels=mem.labels)
-        with pytest.raises(ValueError, match="probe_labels"):
-            mem.mean_distinctiveness(None, np.zeros(3, dtype=int))
 
     def test_fifo_run_recomputes_once_per_eval_row(self, monkeypatch, tmp_path):
         from duelmem.harness import default_config_dict, parse_config, run_experiment
@@ -867,7 +867,7 @@ class TestSafeness:
         eye = np.eye(4)
         emb = np.vstack([np.tile(eye[0], (18, 1)), np.tile(eye[1], (2, 1))])
         labels = np.array([0] * 18 + [1] * 2)
-        mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
+        mem = ActiveMemory.from_arrays(emb, labels, kernel=ORACLE_KERNEL)
         mem.push_batch(eye[1][None, :], np.array([1]))
         counts = np.bincount(mem.labels, minlength=2)
         assert counts[0] == 17 and counts[1] == 3
@@ -878,10 +878,9 @@ class TestGuardedUpdate:
         eye = np.eye(4)
         emb = np.vstack([np.tile(eye[0], (18, 1)), np.tile(eye[1], (2, 1))])
         labels = np.array([0] * 18 + [1] * 2)
-        mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
-        probe_lab = np.array([0] * 9 + [1])
+        mem = ActiveMemory.from_arrays(emb, labels, kernel=ORACLE_KERNEL)
         events, applied = guarded_update(
-            mem, eye[1][None, :], np.array([1]), eye[probe_lab], probe_lab
+            mem, eye[1][None, :], np.array([1]), eye[[0] * 9 + [1]]
         )
         assert applied
         assert len(events) == 1
@@ -894,13 +893,10 @@ class TestGuardedUpdate:
         eye = np.eye(4)
         emb = np.vstack([np.tile(eye[0], (9, 1)), eye[1][None, :]])
         labels = np.array([0] * 9 + [1])
-        mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
+        mem = ActiveMemory.from_arrays(emb, labels, kernel=ORACLE_KERNEL)
         before_labels = mem.labels
         before_steps = mem.insert_steps
-        probe_lab = np.array([0, 1])
-        _, applied = guarded_update(
-            mem, eye[1][None, :], np.array([1]), eye[probe_lab], probe_lab
-        )
+        _, applied = guarded_update(mem, eye[1][None, :], np.array([1]), eye[[0, 1]])
         assert not applied
         assert np.array_equal(mem.labels, before_labels)
         assert np.array_equal(mem.insert_steps, before_steps)
@@ -1060,12 +1056,9 @@ class TestLoadedScores:
         eye = np.eye(4)
         emb = np.vstack([np.tile(eye[0], (9, 1)), eye[1][None, :]])
         labels = np.array([0] * 9 + [1])
-        mem = ActiveMemory.from_arrays(emb, labels, kernel=LabelOracle())
+        mem = ActiveMemory.from_arrays(emb, labels, kernel=ORACLE_KERNEL)
         before = mem.scores
-        probe_lab = np.array([0, 1])
-        _, applied = guarded_update(
-            mem, eye[1][None, :], np.array([1]), eye[probe_lab], probe_lab
-        )
+        _, applied = guarded_update(mem, eye[1][None, :], np.array([1]), eye[[0, 1]])
         assert not applied
         assert np.array_equal(mem.scores, before)
 
@@ -1077,7 +1070,9 @@ class TestLoadedScores:
         # must do so without scoring the memory.
         eye = np.eye(4)
         labels = np.array([0] * 48 + [1] * 16)
-        mem = ActiveMemory.from_arrays(eye[labels], labels, kernel=LabelOracle(), policy="fifo")
+        mem = ActiveMemory.from_arrays(
+            eye[labels], labels, kernel=ORACLE_KERNEL, policy="fifo"
+        )
         mem.push_batch(eye[1:2], np.array([1]))
         twin = copy.deepcopy(mem)
         refreshes = []
@@ -1085,10 +1080,7 @@ class TestLoadedScores:
         monkeypatch.setattr(
             ActiveMemory, "_refresh_scores", lambda m: refreshes.append(m) or refresh(m)
         )
-        probe_lab = np.array([0, 1])
-        _, applied = guarded_update(
-            mem, eye[1][None, :], np.array([1]), eye[probe_lab], probe_lab
-        )
+        _, applied = guarded_update(mem, eye[1][None, :], np.array([1]), eye[[0, 1]])
         assert not applied
         assert refreshes == []
         monkeypatch.undo()
@@ -1112,6 +1104,20 @@ class TestVerifyNegativeControl:
 
         monkeypatch.setattr(memory_module, "_tied_argmax", highest)
         assert not check_selection_equivalence(quick=True)[0]
+
+    def test_scrambled_labels_are_detected(self, monkeypatch):
+        # A compaction that keeps the right rows but reverses the pooled
+        # labels: no score reads labels, so only the replay's label
+        # comparison sees it.
+        compact = ActiveMemory._compact
+
+        def reversed_labels(mem, selection, emb, labels, ids, live_scores):
+            compact(mem, selection, emb, labels[::-1], ids, live_scores)
+
+        monkeypatch.setattr(ActiveMemory, "_compact", reversed_labels)
+        ok, detail = check_incremental_matches_naive(quick=True)
+        assert not ok
+        assert detail.startswith("labels diverge")
 
     def test_checks_pass_with_correct_constant(self):
         assert check_cache_coherence(quick=True)[0]

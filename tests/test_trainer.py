@@ -347,6 +347,7 @@ CHECKPOINT_FAULTS = {
     "trainer_d_out_disagrees": (_set_trainer_meta(d_out=5), "q.W"),
     "trainer_hidden_disagrees": (_set_trainer_meta(hidden=6), "q.*"),
     "kernel_missing_tau": (_set_memory_meta(kernel={"form": "exp"}), "tau"),
+    "kernel_oracle": (_set_memory_meta(kernel={"form": "oracle"}), "meta.memory.kernel.form"),
     "kernel_string_tau": (
         _set_memory_meta(kernel={"form": "exp", "tau": "0.5"}),
         "meta.memory.kernel.tau",
