@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .codec import ConfigError, decode, decode_versioned, encode
-from .kernels import AffineCosine, Kernel, normalize
+from .kernels import AffineCosine, Kernel
 from .memory import POLICIES, ActiveMemory, check_capacity_and_policy
 from .metrics import (
     MetricsRow,
@@ -177,7 +177,7 @@ def run_experiment(
     # Seed the memory so memory negatives exist from the first step.
     X0, _, y0 = stream.sample_batch(cfg.trainer.batch_size)
     init_extractor = state.key_extractor or state.extractor
-    memory.push_batch(normalize(init_extractor.forward(X0)), y0)
+    memory.push_batch(init_extractor.forward(X0), y0)
 
     eval_rng = np.random.default_rng(ss_eval)
     eval_X, eval_y = stream.sample_balanced(cfg.eval.eval_per_class, eval_rng)
@@ -338,6 +338,6 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
         return 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE8BED]))
     X, y = stream.sample_balanced(per_class, rng)
-    Z = normalize(state.extractor.forward(X))
+    Z = state.extractor.forward(X)
     write_embedding_csv(out_path, Z, labels=y)
     return Z.shape[0]

@@ -1,8 +1,9 @@
 """Synthetic class-imbalanced data streams and embedding-stream files.
 
-Samples arrive one pair at a time: draw a hidden class from an imbalance
-profile, draw x around the class mean, and produce a positive view x+ by
-adding augmentation noise to x.
+Samples arrive in batches of pairs: draw a hidden class per pair from an
+imbalance profile, draw x around the class mean, and produce a positive view
+x+ by adding augmentation noise to x. A batch of n takes two generator calls,
+the n classes first and then all of the batch's noise.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import csv
 import re
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,13 +22,11 @@ __all__ = [
     "GaussianPairStream",
     "LongTail",
     "StreamConfig",
-    "class_cdf",
     "class_means",
     "csv_row",
     "load_embedding_stream",
     "longtail_probs",
     "oracle_embedding_stream",
-    "sample_pair",
     "write_embedding_csv",
 ]
 
@@ -130,68 +128,25 @@ def class_means(cfg: StreamConfig, seed: int = 0) -> np.ndarray:
     return cfg.separation * dirs
 
 
-def class_cdf(cfg: StreamConfig) -> np.ndarray:
-    """The profile's CDF, normalised the way Generator.choice normalises it.
-
-    `cdf.searchsorted(rng.random(), side="right")` then draws exactly the
-    class that `rng.choice(cfg.n_classes, p=cfg.probs())` would, without
-    rebuilding the profile.
-    """
-    cdf = cfg.probs().cumsum()
-    cdf /= cdf[-1]
-    return cdf
-
-
-def sample_pair(
-    cfg: StreamConfig,
-    rng: np.random.Generator,
-    means: np.ndarray | None = None,
-    cdf: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """(x, x+, hidden class): x ~ N(mean_c, sigma^2 I), x+ = x + aug noise.
-
-    The class is drawn exactly as `rng.choice(cfg.n_classes, p=cfg.probs())`
-    draws it. Pass means and cdf (from class_means and class_cdf) to avoid
-    rebuilding them per draw.
-    """
-    if means is None:
-        means = class_means(cfg)
-    if cdf is None:
-        cdf = class_cdf(cfg)
-    c = int(cdf.searchsorted(rng.random(), side="right"))
-    x = means[c] + cfg.sigma * rng.normal(size=cfg.d_in)
-    x_pos = x + cfg.sigma_aug * rng.normal(size=cfg.d_in)
-    return x, x_pos, c
-
-
 class GaussianPairStream:
-    """Stateful sampler with cached class means and CDF.
+    """Stateful sampler with cached class means and class probabilities.
 
     seed seeds the draws and means_seed the class means (see class_means).
-    sample_batch consumes the generator exactly as repeated sample_pair calls
-    would, so its batches equal theirs byte for byte.
+    sample_batch(n) makes two generator calls: `rng.choice` of the n classes
+    under the profile, then one `standard_normal((n, 2 * d_in))` whose first
+    d_in columns are x's noise and last d_in columns x+'s augmentation noise.
     """
 
     def __init__(self, cfg: StreamConfig, seed: int = 0, means_seed: int = 0):
         self.cfg = cfg
         self.means = class_means(cfg, means_seed)
-        self.cdf = class_cdf(cfg)
-        self._cdf = self.cdf.tolist()  # bisect on a list beats searchsorted per draw
+        self.probs = cfg.probs()
         self.rng = np.random.default_rng(seed)
 
     def sample_batch(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         d = self.cfg.d_in
-        # Per sample: one uniform for the class, then x's and x+'s noise in
-        # one normal draw of 2d, as sample_pair draws them. standard_normal
-        # writes the row in place; rng.normal(0, 1) returns 0.0 + 1.0 * z for
-        # the same z, so the bytes agree except for a -0.0 draw (probability
-        # 2**-52), which means + sigma * noise turns into the same sum.
-        noise = np.empty((n, 2 * d))
-        labels = np.empty(n, dtype=np.int64)
-        cdf, uniform, normal = self._cdf, self.rng.random, self.rng.standard_normal
-        for i in range(n):
-            labels[i] = bisect_right(cdf, uniform())
-            normal(out=noise[i])
+        labels = self.rng.choice(self.cfg.n_classes, size=n, p=self.probs)
+        noise = self.rng.standard_normal((n, 2 * d))
         X = self.means[labels] + self.cfg.sigma * noise[:, :d]
         Xp = X + self.cfg.sigma_aug * noise[:, d:]
         return X, Xp, labels

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import decode_versioned, encode
-from .kernels import Kernel, normalize
+from .kernels import Kernel
 from .memory import (
     ActiveMemory,
     PushResult,
@@ -449,9 +449,6 @@ def train_step(
     if state.key_extractor is not None:
         momentum_update(state.key_extractor.params, state.extractor.params, cfg.momentum)
 
-    # Renormalize defensively: float drift in the forward leaves norms at
-    # 1 +- 1e-16, but the memory enforces unit norm at 1e-9.
-    push_emb = normalize(push_emb)
     applied = True
     if state.guarded_memory:
         events, applied = guarded_update(state.memory, push_emb, labels, push_emb)

@@ -18,7 +18,6 @@ from duelmem.streams import (
     load_embedding_stream,
     longtail_probs,
     oracle_embedding_stream,
-    sample_pair,
     write_embedding_csv,
 )
 
@@ -97,22 +96,17 @@ class TestSampling:
 
     def test_sigma_zero_reproduces_means(self):
         cfg = StreamConfig(n_classes=4, d_in=6, sigma=0.0, sigma_aug=0.0)
-        means = class_means(cfg)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            x, x_pos, c = sample_pair(cfg, rng, means)
-            assert np.array_equal(x, means[c])
-            assert np.array_equal(x_pos, x)
+        stream = GaussianPairStream(cfg, seed=1)
+        X, Xp, labels = stream.sample_batch(20)
+        assert np.array_equal(X, class_means(cfg)[labels])
+        assert np.array_equal(Xp, X)
 
     def test_pair_noise_scales(self):
         cfg = StreamConfig(n_classes=2, d_in=8, sigma=0.5, sigma_aug=0.05)
-        rng = np.random.default_rng(3)
-        means = class_means(cfg, 2)
-        gaps, augs = [], []
-        for _ in range(4000):
-            x, x_pos, c = sample_pair(cfg, rng, means)
-            gaps.append(np.sum((x - means[c]) ** 2))
-            augs.append(np.sum((x_pos - x) ** 2))
+        stream = GaussianPairStream(cfg, seed=3, means_seed=2)
+        X, Xp, labels = stream.sample_batch(4000)
+        gaps = np.sum((X - class_means(cfg, 2)[labels]) ** 2, axis=1)
+        augs = np.sum((Xp - X) ** 2, axis=1)
         # E|x - mean|^2 = d * sigma^2; E|x+ - x|^2 = d * sigma_aug^2.
         assert abs(np.mean(gaps) - 8 * 0.25) < 0.1
         assert abs(np.mean(augs) - 8 * 0.0025) < 0.001
@@ -134,47 +128,49 @@ class TestSampling:
             assert np.array_equal(left, right)
 
 
-class TestCachedCdf:
-    @pytest.mark.parametrize(
-        "imbalance", [Dominant(0.75), LongTail(50.0)], ids=["dominant", "longtail"]
-    )
-    def test_batches_equal_rng_choice_draws(self, imbalance):
-        # The reference draws each class with rng.choice(p=...),
-        # interleaved with the two noise draws.
-        cfg = StreamConfig(imbalance=imbalance)
-        stream = GaussianPairStream(cfg, seed=7)
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            X, Xp, labels = stream.sample_batch(64)
-            for i in range(64):
-                c = int(rng.choice(cfg.n_classes, p=cfg.probs()))
-                x = stream.means[c] + cfg.sigma * rng.normal(size=cfg.d_in)
-                x_pos = x + cfg.sigma_aug * rng.normal(size=cfg.d_in)
-                assert labels[i] == c
-                assert np.array_equal(X[i], x) and np.array_equal(Xp[i], x_pos)
+class _CallLog:
+    """A generator stand-in that records the name of each method called on it."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.calls = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def logged(*args, **kwargs):
+            self.calls.append(name)
+            return method(*args, **kwargs)
+
+        return logged
 
 
 class TestBatchedDraws:
-    """The batched samplers consume the generator exactly as the per-sample
-    draws do, so their output equals a per-sample reference byte for byte."""
+    """The batched samplers consume the generator in a pinned order, so their
+    output equals a reference that makes the same draws, byte for byte."""
 
     @pytest.mark.parametrize(
         "imbalance, sigma_aug",
         [(Dominant(0.75), 0.35), (LongTail(50.0), 0.35), (Dominant(0.75), 0.0)],
         ids=["dominant", "longtail", "no-aug"],
     )
-    def test_sample_batch_equals_sample_pair(self, imbalance, sigma_aug):
+    def test_sample_batch_draws_classes_then_noise(self, imbalance, sigma_aug):
         cfg = StreamConfig(imbalance=imbalance, sigma_aug=sigma_aug)
+        d = cfg.d_in
         stream = GaussianPairStream(cfg, seed=11)
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            X, Xp, labels = stream.sample_batch(64)
-            for i in range(64):
-                x, x_pos, c = sample_pair(cfg, rng, stream.means, stream.cdf)
-                assert labels[i] == c
-                assert X[i].tobytes() == x.tobytes()
-                assert Xp[i].tobytes() == x_pos.tobytes()
-        assert stream.rng.bit_generator.state == rng.bit_generator.state
+        log = stream.rng = _CallLog(stream.rng)
+        twin = np.random.default_rng(11)
+        for n in (1, 64, 5, 64, 200):
+            log.calls.clear()
+            X, Xp, labels = stream.sample_batch(n)
+            assert log.calls == ["choice", "standard_normal"]
+            c = twin.choice(cfg.n_classes, size=n, p=cfg.probs())
+            noise = twin.standard_normal((n, 2 * d))
+            x = stream.means[c] + cfg.sigma * noise[:, :d]
+            x_pos = x + cfg.sigma_aug * noise[:, d:]
+            assert labels.dtype == np.int64 and labels.tobytes() == c.tobytes()
+            assert X.tobytes() == x.tobytes()
+            assert Xp.tobytes() == x_pos.tobytes()
+        assert log.rng.bit_generator.state == twin.bit_generator.state
 
     def test_sample_balanced_equals_per_row_draws(self):
         cfg = StreamConfig(n_classes=4, d_in=7, sigma=0.6)

@@ -280,6 +280,27 @@ class TestTrainStep:
         )
         assert isinstance(report.memory_update_applied, bool)
 
+    @pytest.mark.parametrize("hidden", [None, 6], ids=["linear", "tanh"])
+    @pytest.mark.parametrize("momentum", [None, 0.9], ids=["query", "key"])
+    def test_pushes_the_forward_rows_unchanged(self, hidden, momentum):
+        # forward divides each row by its norm, so the rows it returns go into
+        # the memory as they are, well inside push_batch's 1e-9 unit-norm check.
+        cfg = TrainerConfig(
+            batch_size=64, memory_neg_count=4, momentum=momentum, steps=10, d_out=3, hidden=hidden
+        )
+        memory = ActiveMemory(512, 3, AffineCosine(), "duel", seed=5)
+        memory.push_batch(_unit(np.random.default_rng(3), 8, 3))
+        state = TrainState.create(cfg, FeatureExtractor(4, 3, hidden, seed=2), memory)
+        rng = np.random.default_rng(13)
+        for scale in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6):
+            X = scale * rng.normal(size=(64, 4))
+            want = (state.key_extractor or state.extractor).forward(X)
+            n = memory.size
+            train_step(state, X, X + 0.05 * scale * rng.normal(size=(64, 4)))
+            assert memory.embeddings[n:].tobytes() == want.tobytes()
+            norms = np.sqrt(np.add.reduce(want * want, axis=1))
+            assert np.abs(norms - 1.0).max() <= 1e-15
+
     def test_eviction_events_surface_in_report(self):
         state = _tiny_state()
         rng = np.random.default_rng(12)
