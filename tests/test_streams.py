@@ -128,6 +128,25 @@ class TestSampling:
             assert np.array_equal(left, right)
 
 
+class TestCachedCdf:
+    """The stream keeps the profile's probabilities from construction; its
+    class draws equal `rng.choice(p=cfg.probs())` on a twin generator."""
+
+    @pytest.mark.parametrize(
+        "imbalance", [Dominant(0.75), LongTail(50.0)], ids=["dominant", "longtail"]
+    )
+    def test_batches_equal_rng_choice_draws(self, imbalance):
+        cfg = StreamConfig(imbalance=imbalance)
+        stream = GaussianPairStream(cfg, seed=7)
+        rng = np.random.default_rng(7)
+        assert stream.probs.tobytes() == cfg.probs().tobytes()
+        for _ in range(50):
+            labels = stream.sample_batch(64)[2]
+            c = rng.choice(cfg.n_classes, size=64, p=cfg.probs())
+            rng.standard_normal((64, 2 * cfg.d_in))  # the batch's noise
+            assert labels.tobytes() == c.tobytes()
+
+
 class _CallLog:
     """A generator stand-in that records the name of each method called on it."""
 
@@ -144,33 +163,45 @@ class _CallLog:
         return logged
 
 
+def _pair(cfg: StreamConfig, means: np.ndarray, c: int, z: np.ndarray):
+    """One (x, x+) pair from its class and its 2 * d_in noise values."""
+    x = means[c] + cfg.sigma * z[: cfg.d_in]
+    return x, x + cfg.sigma_aug * z[cfg.d_in :]
+
+
 class TestBatchedDraws:
     """The batched samplers consume the generator in a pinned order, so their
     output equals a reference that makes the same draws, byte for byte."""
+
+    def test_sample_batch_draws_classes_then_noise(self):
+        stream = GaussianPairStream(StreamConfig(), seed=11)
+        log = stream.rng = _CallLog(stream.rng)
+        for n in (1, 64, 5, 64, 200):
+            log.calls.clear()
+            stream.sample_batch(n)
+            assert log.calls == ["choice", "standard_normal"]
 
     @pytest.mark.parametrize(
         "imbalance, sigma_aug",
         [(Dominant(0.75), 0.35), (LongTail(50.0), 0.35), (Dominant(0.75), 0.0)],
         ids=["dominant", "longtail", "no-aug"],
     )
-    def test_sample_batch_draws_classes_then_noise(self, imbalance, sigma_aug):
+    def test_sample_batch_equals_sample_pair(self, imbalance, sigma_aug):
+        # Row i of a batch is the pair built from the i-th class draw and the
+        # i-th row of the batch's (n, 2 * d_in) noise draw.
         cfg = StreamConfig(imbalance=imbalance, sigma_aug=sigma_aug)
-        d = cfg.d_in
         stream = GaussianPairStream(cfg, seed=11)
-        log = stream.rng = _CallLog(stream.rng)
         twin = np.random.default_rng(11)
-        for n in (1, 64, 5, 64, 200):
-            log.calls.clear()
+        for n in [64] * 200 + [1, 5]:
             X, Xp, labels = stream.sample_batch(n)
-            assert log.calls == ["choice", "standard_normal"]
             c = twin.choice(cfg.n_classes, size=n, p=cfg.probs())
-            noise = twin.standard_normal((n, 2 * d))
-            x = stream.means[c] + cfg.sigma * noise[:, :d]
-            x_pos = x + cfg.sigma_aug * noise[:, d:]
+            noise = twin.standard_normal((n, 2 * cfg.d_in))
             assert labels.dtype == np.int64 and labels.tobytes() == c.tobytes()
-            assert X.tobytes() == x.tobytes()
-            assert Xp.tobytes() == x_pos.tobytes()
-        assert log.rng.bit_generator.state == twin.bit_generator.state
+            for i in range(n):
+                x, x_pos = _pair(cfg, stream.means, c[i], noise[i])
+                assert X[i].tobytes() == x.tobytes()
+                assert Xp[i].tobytes() == x_pos.tobytes()
+        assert stream.rng.bit_generator.state == twin.bit_generator.state
 
     def test_sample_balanced_equals_per_row_draws(self):
         cfg = StreamConfig(n_classes=4, d_in=7, sigma=0.6)
