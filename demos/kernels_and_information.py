@@ -41,7 +41,7 @@ def main() -> None:
         # A perfect extractor maps each class to its own basis vector, on
         # which ORACLE_KERNEL scores 1 within a class and 0 across classes.
         labels = np.repeat(np.arange(n_classes), 4)
-        dist = FiniteDistribution.uniform(np.eye(n_classes)[labels], labels)
+        dist = FiniteDistribution(np.eye(n_classes)[labels], labels)
         loss = hml_loss(dist, ORACLE_KERNEL)
         print(
             f"  {n_classes} classes: loss {loss:+.6f}, "
@@ -51,10 +51,10 @@ def main() -> None:
     print("\n== the memory bound under class imbalance ==")
     labels = np.repeat(np.arange(4), 5)
     points = normalize(rng.normal(size=(labels.size, 8)))
-    balanced = FiniteDistribution.uniform(points, labels)
+    balanced = FiniteDistribution(points, labels)
     class_probs = np.array([0.7, 0.1, 0.1, 0.1])
     skewed = FiniteDistribution(points, labels, np.repeat(class_probs / 5, 5))
-    memory = FiniteDistribution.uniform(
+    memory = FiniteDistribution(
         normalize(rng.normal(size=(16, 8))), rng.integers(0, 4, 16)
     )
     kernel = ExponentialTemp(0.5)

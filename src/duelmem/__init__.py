@@ -9,7 +9,7 @@ The package is organized bottom-up:
 - trainer: memory-augmented InfoNCE training in pure numpy
 - streams: synthetic imbalanced pair streams and embedding-file IO
 - metrics: memory and representation diagnostics
-- harness: seeded experiment runs, policy benchmarks, artifact emission
+- harness: seeded experiment runs, policy benchmarks, artifacts, checkpoints
 - verify: executable invariant checks (also `duelmem verify` on the CLI)
 
 Each name is imported from the module that defines it, as in

@@ -1,8 +1,10 @@
-"""Experiment harness: JSON configs, deterministic runs, policy benchmarks.
+"""Experiment harness: JSON configs, deterministic runs, policy benchmarks
+and checkpoints.
 
 A run is fully determined by (config, seed): the seed is split into
 independent child seeds for the stream, extractor init, negative sampling
-and the memory policy, so repeated runs write byte-identical artifacts.
+and the memory policy, so repeated runs write byte-identical artifacts. A
+checkpoint stores the config and seed once and rebuilds its state from them.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .codec import ConfigError, decode, decode_versioned, encode
+from .codec import ConfigError, decode_versioned, encode
 from .kernels import AffineCosine, Kernel
-from .memory import POLICIES, ActiveMemory, check_capacity_and_policy
+from .memory import POLICIES, ActiveMemory, rng_from_state
 from .metrics import (
     MetricsRow,
     class_entropy,
@@ -26,14 +28,7 @@ from .metrics import (
     write_metrics_csv,
 )
 from .streams import GaussianPairStream, StreamConfig, csv_row, write_embedding_csv
-from .trainer import (
-    FeatureExtractor,
-    TrainState,
-    TrainerConfig,
-    load_checkpoint,
-    save_checkpoint,
-    train_step,
-)
+from .trainer import FeatureExtractor, FlatParams, TrainState, TrainerConfig, train_step
 
 __all__ = [
     "CONFIG_VERSION",
@@ -45,12 +40,15 @@ __all__ = [
     "bench_policies",
     "default_config_dict",
     "export_embeddings",
+    "load_checkpoint",
     "load_config",
     "parse_config",
     "run_experiment",
+    "save_checkpoint",
 ]
 
 CONFIG_VERSION = 1
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -75,7 +73,12 @@ class MemoryConfig:
     guarded: bool = False
 
     def __post_init__(self) -> None:
-        check_capacity_and_policy(self.capacity, self.policy)
+        if self.capacity < 1:
+            raise ValueError("capacity: must be >= 1")
+        if self.policy not in POLICIES:
+            raise ValueError(
+                f"policy: unknown policy {self.policy!r}; expected one of {POLICIES}"
+            )
 
 
 @dataclass
@@ -134,25 +137,9 @@ def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, seed: int, out_dir: str | None = None
-) -> RunResult:
-    """Train on the configured stream and write run artifacts.
-
-    Writes config.json, metrics.csv, a mid-run and a final memory snapshot,
-    and checkpoint.npz into out_dir. Byte-identical for identical
-    (config, seed).
-    """
-    if seed < 0:
-        raise ValueError(f"seed: must be >= 0, got {seed}")
-    ss_stream, ss_init, ss_neg, ss_mem, ss_eval = _child_seeds(seed, 5)
-
-    stream = GaussianPairStream(
-        cfg.stream,
-        seed=np.random.default_rng(ss_stream).integers(2**31),
-        means_seed=seed,
-    )
-
+def _initial_state(cfg: ExperimentConfig, seed: int) -> TrainState:
+    """The step-0 state of run (cfg, seed), its memory still empty."""
+    _, ss_init, ss_neg, ss_mem, _ = _child_seeds(seed, 5)
     extractor = FeatureExtractor(
         cfg.stream.d_in,
         cfg.trainer.d_out,
@@ -166,13 +153,35 @@ def run_experiment(
         cfg.memory.policy,
         seed=np.random.default_rng(ss_mem).integers(2**31),
     )
-    state = TrainState.create(
+    return TrainState.create(
         cfg.trainer,
         extractor,
         memory,
         guarded_memory=cfg.memory.guarded,
         seed=int(np.random.default_rng(ss_neg).integers(2**31)),
     )
+
+
+def run_experiment(
+    cfg: ExperimentConfig, seed: int, out_dir: str | None = None
+) -> RunResult:
+    """Train on the configured stream and write run artifacts.
+
+    Writes config.json, metrics.csv, a mid-run and a final memory snapshot,
+    and checkpoint.npz into out_dir. Byte-identical for identical
+    (config, seed).
+    """
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
+    ss_stream, _, _, _, ss_eval = _child_seeds(seed, 5)
+
+    stream = GaussianPairStream(
+        cfg.stream,
+        seed=np.random.default_rng(ss_stream).integers(2**31),
+        means_seed=seed,
+    )
+    state = _initial_state(cfg, seed)
+    memory = state.memory
 
     # Seed the memory so memory negatives exist from the first step.
     X0, _, y0 = stream.sample_batch(cfg.trainer.batch_size)
@@ -236,11 +245,7 @@ def run_experiment(
     memory.snapshot_csv(
         os.path.join(out_dir, f"memory_step{cfg.trainer.steps:06d}.csv")
     )
-    save_checkpoint(
-        os.path.join(out_dir, "checkpoint.npz"),
-        state,
-        experiment_config={**cfg.to_dict(), "seed": seed},
-    )
+    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), state, cfg, seed)
     return RunResult(seed=seed, out_dir=out_dir, rows=rows, final=rows[-1])
 
 
@@ -313,23 +318,7 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
     """
     if per_class < 0:
         raise ValueError(f"per_class: must be >= 0, got {per_class}")
-    state, exp_cfg = load_checkpoint(ckpt_path)
-    if exp_cfg is None:
-        raise ValueError("checkpoint carries no experiment config to sample from")
-    cfg = decode_versioned(
-        ExperimentConfig,
-        {k: v for k, v in exp_cfg.items() if k != "seed"},
-        CONFIG_VERSION,
-        "experiment_config",
-    )
-    seed = decode(int, exp_cfg.get("seed", 0), "experiment_config.seed")
-    if seed < 0:
-        raise ConfigError(f"experiment_config.seed: expected >= 0, got {seed}")
-    if cfg.stream.d_in != state.extractor.d_in:
-        raise ConfigError(
-            f"experiment_config.stream.d_in: {cfg.stream.d_in} differs from "
-            f"the checkpoint's d_in {state.extractor.d_in}"
-        )
+    state, cfg, seed = load_checkpoint(ckpt_path)
     stream = GaussianPairStream(cfg.stream, means_seed=seed)
     if per_class == 0:
         write_embedding_csv(
@@ -341,3 +330,117 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
     Z = state.extractor.forward(X)
     write_embedding_csv(out_path, Z, labels=y)
     return Z.shape[0]
+
+
+# -- checkpointing ------------------------------------------------------------
+
+# ActiveMemory.state_dict entries stored as npz arrays; the rest go in meta.
+_MEMORY_ARRAYS = ("emb", "labels", "steps", "scores")
+
+
+@dataclass
+class _MemoryMeta:
+    count: int
+    seen: int
+    rng: dict
+
+
+@dataclass
+class _CheckpointMeta:
+    """A checkpoint's JSON metadata, less its version. The run's config and
+    seed rebuild the state the stored arrays then overwrite."""
+
+    config: ExperimentConfig
+    seed: int
+    step: int
+    rng: dict
+    memory: _MemoryMeta
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed: must be >= 0")
+        steps = self.config.trainer.steps
+        if not 0 <= self.step <= steps:
+            raise ValueError(f"step: {self.step} outside [0, {steps}]")
+
+
+def _param_groups(state: TrainState) -> dict[str, FlatParams]:
+    """The state's parameter buffers by npz prefix, in the order they are stored."""
+    groups = {"q.": state.extractor.params}
+    if state.key_extractor is not None:
+        groups["k."] = state.key_extractor.params
+    groups["am."] = state.adam_m
+    groups["av."] = state.adam_v
+    return groups
+
+
+def save_checkpoint(path, state: TrainState, cfg: ExperimentConfig, seed: int) -> None:
+    """Dump the run's config and seed, parameters, optimizer moments, memory
+    and RNG state."""
+    mem_state = state.memory.state_dict()
+    meta = _CheckpointMeta(
+        config=cfg,
+        seed=seed,
+        step=state.step,
+        rng=state.rng.bit_generator.state,
+        memory=_MemoryMeta(mem_state["count"], mem_state["seen"], mem_state["rng"]),
+    )
+    arrays = {
+        prefix + k: v
+        for prefix, params in _param_groups(state).items()
+        for k, v in params.items()
+    }
+    for key in _MEMORY_ARRAYS:
+        arrays[f"mem.{key}"] = mem_state[key]
+    meta_json = json.dumps({"version": CHECKPOINT_VERSION, **encode(meta)})
+    arrays["meta"] = np.frombuffer(meta_json.encode(), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _load_params(data, prefix: str, target: FlatParams) -> None:
+    """Copy the arrays under prefix into target, checked against its shapes."""
+    for k in target:
+        v = data[prefix + k]
+        if v.shape != target[k].shape:
+            raise ValueError(f"{prefix}{k}: expected shape {target[k].shape}, got {v.shape}")
+        target[k] = v
+
+
+def load_checkpoint(path) -> tuple[TrainState, ExperimentConfig, int]:
+    """Read a checkpoint as (state, config, seed); malformed state raises
+    ValueError naming the field or array."""
+    with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ValueError("meta: missing from the checkpoint")
+        raw = json.loads(bytes(data["meta"]).decode())
+        meta = decode_versioned(_CheckpointMeta, raw, CHECKPOINT_VERSION, "meta")
+        state = _initial_state(meta.config, meta.seed)
+        groups = _param_groups(state)
+        read = [prefix + k for prefix, params in groups.items() for k in params]
+        read += [f"mem.{key}" for key in _MEMORY_ARRAYS] + ["meta"]
+        missing = [name for name in read if name not in data.files]
+        if missing:
+            raise ValueError(f"{missing[0]}: missing from the checkpoint")
+        unread = [name for name in data.files if name not in read]
+        if unread:
+            raise ValueError(f"{unread[0]}: not an array this checkpoint's config reads")
+        for prefix, params in groups.items():
+            _load_params(data, prefix, params)
+        try:
+            state.memory.load_state_dict(
+                {
+                    **{key: data[f"mem.{key}"] for key in _MEMORY_ARRAYS},
+                    "count": meta.memory.count,
+                    "seen": meta.memory.seen,
+                    "rng": meta.memory.rng,
+                }
+            )
+        except ValueError as exc:
+            # The message starts with the state key; name where it is stored.
+            key, _, reason = str(exc).partition(": ")
+            where = "mem." if key in _MEMORY_ARRAYS else "meta.memory."
+            raise ValueError(f"{where}{key}: {reason}") from exc
+        state.rng = rng_from_state(meta.rng, "meta.rng")
+        state.step = meta.step
+        return state, meta.config, meta.seed

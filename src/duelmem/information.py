@@ -116,13 +116,6 @@ class FiniteDistribution:
         if not np.all(np.abs(norms - 1.0) <= 1e-9):
             raise ValueError("embeddings must be unit-norm within 1e-9")
 
-    @classmethod
-    def uniform(
-        cls, embeddings: np.ndarray, labels: np.ndarray
-    ) -> "FiniteDistribution":
-        """Equal weight on every point."""
-        return cls(np.asarray(embeddings), np.asarray(labels))
-
 
 def hebbian_information(
     anchor: np.ndarray, positives: FiniteDistribution, kernel: Kernel

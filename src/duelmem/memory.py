@@ -121,7 +121,6 @@ __all__ = [
     "ActiveMemory",
     "EvictionEvent",
     "PushResult",
-    "check_capacity_and_policy",
     "guarded_update",
     "rng_from_state",
 ]
@@ -130,15 +129,6 @@ __all__ = [
 MAX_SCORE = 1.0
 
 POLICIES = ("duel", "fifo", "random", "reservoir")
-
-
-def check_capacity_and_policy(capacity: int, policy: str) -> None:
-    """The checks a config dataclass makes before it describes a memory;
-    each error names its field, for the codec to prefix with the path."""
-    if capacity < 1:
-        raise ValueError("capacity: must be >= 1")
-    if policy not in POLICIES:
-        raise ValueError(f"policy: unknown policy {policy!r}; expected one of {POLICIES}")
 
 
 UNLABELED = -1
@@ -538,9 +528,8 @@ class ActiveMemory:
         return self._overwrite(victims, np.arange(b), X, lab)
 
     def _push_random(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
-        # One rng call per item: a batched draw would consume another stream.
         b = X.shape[0]
-        victims = np.array([self.rng.integers(self._count) for _ in range(b)])
+        victims = self.rng.integers(self._count, size=b)
         return self._overwrite(victims, np.arange(b), X, lab)
 
     def _push_reservoir(self, X: np.ndarray, lab: np.ndarray) -> PushResult:

@@ -16,22 +16,13 @@ validated against central finite differences by `duelmem verify`.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import decode_versioned, encode
-from .kernels import Kernel
-from .memory import (
-    ActiveMemory,
-    PushResult,
-    check_capacity_and_policy,
-    guarded_update,
-    rng_from_state,
-)
+from .memory import ActiveMemory, PushResult, guarded_update
 
 __all__ = [
     "FeatureExtractor",
@@ -44,15 +35,11 @@ __all__ = [
     "batched_infonce",
     "cosine_lr",
     "infonce_grad",
-    "load_checkpoint",
     "momentum_update",
-    "save_checkpoint",
     "train_step",
 ]
 
 NEGATIVE_SOURCES = ("batch_only", "memory_only", "mixed")
-
-CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -458,131 +445,3 @@ def train_step(
     state.step += 1
     return StepReport(state.step, loss, lr, events, applied)
 
-
-# -- checkpointing ----------------------------------------------------------
-
-# ActiveMemory.state_dict entries stored as npz arrays; the rest go in meta.
-_MEMORY_ARRAYS = ("emb", "labels", "steps", "scores")
-
-
-@dataclass
-class _MemoryMeta:
-    capacity: int
-    policy: str
-    kernel: Kernel
-    count: int
-    seen: int
-    rng: dict
-
-    def __post_init__(self) -> None:
-        check_capacity_and_policy(self.capacity, self.policy)
-
-
-@dataclass
-class _CheckpointMeta:
-    """A checkpoint's JSON metadata, less its version. The extractor and the
-    memory take d_out and hidden from trainer."""
-
-    trainer: TrainerConfig
-    d_in: int
-    memory: _MemoryMeta
-    step: int
-    guarded_memory: bool
-    rng: dict
-    experiment_config: dict | None
-
-    def __post_init__(self) -> None:
-        if self.d_in < 1:
-            raise ValueError("d_in: must be >= 1")
-        if not 0 <= self.step <= self.trainer.steps:
-            raise ValueError(f"step: {self.step} outside [0, {self.trainer.steps}]")
-
-
-def save_checkpoint(path, state: TrainState, experiment_config: dict | None = None) -> None:
-    """Dump architecture, parameters, optimizer moments, memory and RNG state."""
-    mem = state.memory
-    mem_state = mem.state_dict()
-    meta = _CheckpointMeta(
-        trainer=state.config,
-        d_in=state.extractor.d_in,
-        memory=_MemoryMeta(
-            capacity=mem.capacity,
-            policy=mem.policy,
-            kernel=mem.kernel,
-            count=mem_state["count"],
-            seen=mem_state["seen"],
-            rng=mem_state["rng"],
-        ),
-        step=state.step,
-        guarded_memory=state.guarded_memory,
-        rng=state.rng.bit_generator.state,
-        experiment_config=experiment_config,
-    )
-    arrays = {}
-    for k, v in state.extractor.params.items():
-        arrays[f"q.{k}"] = v
-    if state.key_extractor is not None:
-        for k, v in state.key_extractor.params.items():
-            arrays[f"k.{k}"] = v
-    for k, v in state.adam_m.items():
-        arrays[f"am.{k}"] = v
-    for k, v in state.adam_v.items():
-        arrays[f"av.{k}"] = v
-    for key in _MEMORY_ARRAYS:
-        arrays[f"mem.{key}"] = mem_state[key]
-    meta_json = json.dumps({"version": CHECKPOINT_VERSION, **encode(meta)})
-    arrays["meta"] = np.frombuffer(meta_json.encode(), dtype=np.uint8)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def _load_params(data, prefix: str, target: FlatParams) -> None:
-    """Copy the arrays under prefix into target, checked against its keys
-    and shapes."""
-    params = {k[len(prefix):]: data[k] for k in data.files if k.startswith(prefix)}
-    if set(params) != set(target):
-        raise ValueError(
-            f"{prefix}*: expected parameters {sorted(target)}, got {sorted(params)}"
-        )
-    for k, v in params.items():
-        if v.shape != target[k].shape:
-            raise ValueError(f"{prefix}{k}: expected shape {target[k].shape}, got {v.shape}")
-        target[k] = v
-
-
-def load_checkpoint(path) -> tuple[TrainState, dict | None]:
-    """Read a checkpoint; malformed state raises ValueError naming the field."""
-    with np.load(path) as data:
-        raw = json.loads(bytes(data["meta"]).decode())
-        meta = decode_versioned(_CheckpointMeta, raw, CHECKPOINT_VERSION, "meta")
-        cfg = meta.trainer
-        extractor = FeatureExtractor(meta.d_in, cfg.d_out, cfg.hidden)
-        _load_params(data, "q.", extractor.params)
-
-        mem_meta = meta.memory
-        memory = ActiveMemory(
-            mem_meta.capacity, cfg.d_out, mem_meta.kernel, mem_meta.policy
-        )
-        try:
-            memory.load_state_dict(
-                {
-                    **{name: data[f"mem.{name}"] for name in _MEMORY_ARRAYS},
-                    "count": mem_meta.count,
-                    "seen": mem_meta.seen,
-                    "rng": mem_meta.rng,
-                }
-            )
-        except ValueError as exc:
-            # The message starts with the state key; name where it is stored.
-            key, _, reason = str(exc).partition(": ")
-            where = "mem." if key in _MEMORY_ARRAYS else "meta.memory."
-            raise ValueError(f"{where}{key}: {reason}") from exc
-
-        state = TrainState.create(cfg, extractor, memory, meta.guarded_memory)
-        if state.key_extractor is not None:
-            _load_params(data, "k.", state.key_extractor.params)
-        _load_params(data, "am.", state.adam_m)
-        _load_params(data, "av.", state.adam_v)
-        state.rng = rng_from_state(meta.rng, "meta.rng")
-        state.step = meta.step
-        return state, meta.experiment_config

@@ -111,13 +111,11 @@ def check_kernel_invariants(quick: bool) -> tuple[bool, str]:
             return False, "mdp not symmetric"
         if abs(mdp(a, a, k) - 1.0) > 1e-9:
             return False, "q(a, a) != 1"
-        ref = FiniteDistribution.uniform(
-            _random_unit(rng, 6, z), rng.integers(0, 3, size=6)
-        )
+        ref = FiniteDistribution(_random_unit(rng, 6, z), rng.integers(0, 3, size=6))
         i_d = distinctiveness_information(a, ref, k)
         if i_d < -1e-12:
             return False, "distinctiveness negative"
-        pos = FiniteDistribution.uniform(_random_unit(rng, 4, z), np.zeros(4, int))
+        pos = FiniteDistribution(_random_unit(rng, 4, z), np.zeros(4, int))
         i_h = hebbian_information(a, pos, k)
         if i_h < -1e-12:
             return False, "hebbian information negative"
@@ -182,7 +180,7 @@ def check_empirical_bound(quick: bool) -> tuple[bool, str]:
         oracle = FiniteDistribution(emb, labels, within / n_classes)
         empirical = FiniteDistribution(emb, labels, within * rho[labels])
         m = int(rng.integers(3, 12))
-        mem = FiniteDistribution.uniform(
+        mem = FiniteDistribution(
             _random_unit(rng, m, z), rng.integers(0, n_classes, size=m)
         )
         k = _random_kernel(rng)
@@ -644,9 +642,9 @@ def check_infonce_identity(quick: bool) -> tuple[bool, str]:
         negatives = _random_unit(rng, k, z)
         kernel = ExponentialTemp(tau=tau)
         loss = infonce_loss(anchor, positive, negatives, tau, epsilon=0.0)
-        pos_dist = FiniteDistribution.uniform(positive[None, :], np.zeros(1, int))
+        pos_dist = FiniteDistribution(positive[None, :], np.zeros(1, int))
         i_h = hebbian_information(anchor, pos_dist, kernel)
-        ref = FiniteDistribution.uniform(negatives, np.zeros(k, int))
+        ref = FiniteDistribution(negatives, np.zeros(k, int))
         i_d = distinctiveness_information(anchor, ref, kernel)
         gap = abs(loss - (i_h - i_d + math.log(k)))
         worst = max(worst, gap)

@@ -23,12 +23,12 @@ from duelmem.harness import (
     bench_policies,
     default_config_dict,
     export_embeddings,
+    load_checkpoint,
     parse_config,
     run_experiment,
 )
 from duelmem.metrics import MetricsRow
 from duelmem.streams import load_embedding_stream
-from duelmem.trainer import load_checkpoint, save_checkpoint
 
 
 def tiny_config_dict(**overrides) -> dict:
@@ -361,7 +361,8 @@ class TestRunExperiment:
         cfg = parse_config(raw)
         out = tmp_path / "hidden"
         run_experiment(cfg, seed=0, out_dir=str(out))
-        state, _ = load_checkpoint(out / "checkpoint.npz")
+        state, loaded_cfg, seed = load_checkpoint(out / "checkpoint.npz")
+        assert (loaded_cfg, seed) == (cfg, 0)
         assert state.config.d_out == cfg.trainer.d_out == 4
         assert state.config.hidden == cfg.trainer.hidden == 5
 
@@ -447,30 +448,40 @@ class TestExportEmbeddings:
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
 
     @pytest.mark.parametrize(
-        "path, value",
+        "path, value, field_name",
         [
-            ("seed", "3"),
-            ("seed", True),
-            ("seed", -1),
-            ("stream.d_in", 7),
-            ("stream.d_in", "6"),
-            *VALUE_FAULTS.items(),
+            ("seed", "3", "meta.seed:"),
+            ("seed", True, "meta.seed:"),
+            ("seed", -1, "meta.seed:"),
+            # The extractor is built from the stored config, so a d_in the
+            # run did not train with no longer fits its first layer.
+            ("stream.d_in", 7, "q.W:"),
+            ("stream.d_in", "6", "meta.config.stream.d_in:"),
+            *((p, v, f"meta.config.{p}:") for p, v in VALUE_FAULTS.items()),
         ],
         ids=[
             "seed-string", "seed-bool", "seed-negative", "d_in-differs", "d_in-string",
             *VALUE_FAULTS,
         ],
     )
-    def test_bad_experiment_config_names_field(self, tmp_path, capsys, path, value):
+    def test_bad_experiment_config_names_field(self, tmp_path, capsys, path, value, field_name):
+        """The run's config and seed are stored once, in the checkpoint's meta;
+        a bad one is refused on load, named by its path there."""
         out = tmp_path / "run"
         run_experiment(parse_config(tiny_config_dict()), seed=0, out_dir=str(out))
         ckpt = out / "checkpoint.npz"
-        state, exp_cfg = load_checkpoint(ckpt)
-        set_fault(exp_cfg, path, value)
-        save_checkpoint(ckpt, state, experiment_config=exp_cfg)
-        field_name = f"experiment_config.{path}:"
+        with np.load(ckpt) as data:
+            arrays = dict(data)
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        if path == "seed":
+            meta["seed"] = value
+        else:
+            set_fault(meta["config"], path, value)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        with open(ckpt, "wb") as fh:
+            np.savez(fh, **arrays)
         with pytest.raises(ValueError, match=rf"^{re.escape(field_name)}"):
-            export_embeddings(ckpt, tmp_path / "emb.csv")
+            load_checkpoint(ckpt)
         csv_path = str(tmp_path / "emb.csv")
         assert main(["export-embeddings", "--ckpt", str(ckpt), "--out", csv_path]) == 1
         assert field_name in capsys.readouterr().err

@@ -80,7 +80,7 @@ def _random_dist(rng, n_classes, per_class, z):
 
 class TestFiniteDistribution:
     def test_uniform_weights(self):
-        d = FiniteDistribution.uniform(np.eye(4), np.arange(4))
+        d = FiniteDistribution(np.eye(4), np.arange(4))
         assert np.allclose(d.weights, 0.25)
 
     def test_weights_must_sum_to_one(self):
@@ -93,22 +93,22 @@ class TestFiniteDistribution:
 
     def test_embeddings_must_be_unit(self):
         with pytest.raises(ValueError):
-            FiniteDistribution.uniform(2.0 * np.eye(3), np.arange(3))
+            FiniteDistribution(2.0 * np.eye(3), np.arange(3))
 
     def test_labels_must_align(self):
         with pytest.raises(ValueError):
-            FiniteDistribution.uniform(np.eye(3), np.arange(2))
+            FiniteDistribution(np.eye(3), np.arange(2))
 
 
 class TestHebbianInformation:
     def test_single_identical_positive_is_zero(self):
-        d = FiniteDistribution.uniform(np.eye(2)[:1], np.zeros(1, int))
+        d = FiniteDistribution(np.eye(2)[:1], np.zeros(1, int))
         assert hebbian_information(np.eye(2)[0], d, AffineCosine()) == 0.0
 
     def test_two_positive_cosines_one_and_zero(self):
         # q = {exp(0), exp(-2)} at tau = 0.5; mean of -log q = (0 + 2)/2.
         anchor = np.array([1.0, 0.0])
-        d = FiniteDistribution.uniform(np.eye(2), np.zeros(2, int))
+        d = FiniteDistribution(np.eye(2), np.zeros(2, int))
         got = hebbian_information(anchor, d, ExponentialTemp(tau=0.5))
         assert math.isclose(got, 1.0, abs_tol=1e-12)
 
@@ -129,7 +129,7 @@ class TestHebbianInformation:
     def test_zero_probability_positive_warns_and_is_infinite(self):
         # Antipodal pair under the affine kernel: q = 0 exactly.
         anchor = np.array([1.0, 0.0])
-        d = FiniteDistribution.uniform(np.array([[-1.0, 0.0]]), np.zeros(1, int))
+        d = FiniteDistribution(np.array([[-1.0, 0.0]]), np.zeros(1, int))
         with pytest.warns(InfiniteInformationWarning):
             got = hebbian_information(anchor, d, AffineCosine())
         assert got == math.inf
@@ -138,7 +138,7 @@ class TestHebbianInformation:
 class TestDistinctivenessInformation:
     def test_frozen_two_point_reference(self):
         # Reference {e1, e2}, anchor e1, affine: mean q = (1 + 0.5)/2 = 0.75.
-        d = FiniteDistribution.uniform(np.eye(2), np.arange(2))
+        d = FiniteDistribution(np.eye(2), np.arange(2))
         got = distinctiveness_information(np.eye(2)[0], d, AffineCosine())
         assert math.isclose(got, 0.2876820724517809, abs_tol=1e-15)
 
@@ -159,7 +159,7 @@ class TestDistinctivenessInformation:
 
     def test_disjoint_class_is_infinite(self):
         labels = np.zeros(2, int)
-        d = FiniteDistribution.uniform(np.eye(6)[labels], labels)
+        d = FiniteDistribution(np.eye(6)[labels], labels)
         with pytest.warns(InfiniteInformationWarning):
             got = distinctiveness_information(np.eye(6)[5], d, ORACLE_KERNEL)
         assert got == math.inf
@@ -169,7 +169,7 @@ class TestHmlLoss:
     def test_frozen_two_class_value(self):
         # {e1}, {e2} uniform, affine kernel: each anchor has I_h = 0 and
         # I_d = -log 0.75, so the loss is log 0.75.
-        d = FiniteDistribution.uniform(np.eye(2), np.arange(2))
+        d = FiniteDistribution(np.eye(2), np.arange(2))
         got = hml_loss(d, AffineCosine())
         assert math.isclose(got, -0.2876820724517809, abs_tol=1e-15)
 
@@ -220,9 +220,7 @@ class TestMhmlBound:
         oracle = FiniteDistribution(emb, labels, within / n_classes)
         empirical = FiniteDistribution(emb, labels, within * rho[labels])
         mem_emb = normalize(rng.normal(size=(5, z)))
-        memory = FiniteDistribution.uniform(
-            mem_emb, rng.integers(0, n_classes, size=5)
-        )
+        memory = FiniteDistribution(mem_emb, rng.integers(0, n_classes, size=5))
         return empirical, memory, oracle, float(rho.min()), n_classes
 
     def test_matches_direct_formula(self):
@@ -252,7 +250,7 @@ class TestMhmlBound:
     def test_zero_probability_positive_warns_and_is_infinite(self):
         # Antipodal positives under the affine kernel: q = 0 exactly.
         emb = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        d = FiniteDistribution.uniform(emb, np.array([0, 0, 1]))
+        d = FiniteDistribution(emb, np.array([0, 0, 1]))
         with pytest.warns(InfiniteInformationWarning):
             got = mhml_bound(d, d, d, AffineCosine(), 1.0 / 3.0, 2)
         assert got == math.inf

@@ -838,6 +838,17 @@ class TestBaselinePolicies:
             runs.append([e.evicted for e in mem.push_batch(batch)])
         assert runs[0] == runs[1]
 
+    def test_random_victims_equal_per_item_draws(self):
+        # One batched integers call draws what one call per item draws, and
+        # leaves the generator in the same state.
+        rng = np.random.default_rng(47)
+        mem = _filled(rng, 7, 4, policy="random")
+        for b in (1, 5, 64, 200):
+            twin = copy.deepcopy(mem.rng)
+            events = mem.push_batch(_unit(rng, b, 4))
+            assert events.victims.tolist() == [int(twin.integers(7)) for _ in range(b)]
+            assert mem.rng.bit_generator.state == twin.bit_generator.state
+
     def test_reservoir_drops_emit_no_event(self):
         rng = np.random.default_rng(10)
         mem = ActiveMemory.from_arrays(

@@ -12,8 +12,18 @@ import pytest
 
 from duelmem.cli import USAGE_ERROR, main
 from duelmem.codec import decode, encode
+from duelmem.harness import (
+    ExperimentConfig,
+    MemoryConfig,
+    load_checkpoint,
+    save_checkpoint,
+    _CheckpointMeta,
+    _initial_state,
+    _MemoryMeta,
+)
 from duelmem.kernels import KERNEL_FORMS, AffineCosine, ExponentialTemp, normalize
 from duelmem.memory import ActiveMemory
+from duelmem.streams import StreamConfig
 from duelmem.trainer import (
     FeatureExtractor,
     FlatParams,
@@ -23,12 +33,8 @@ from duelmem.trainer import (
     batched_infonce,
     cosine_lr,
     infonce_grad,
-    load_checkpoint,
     momentum_update,
-    save_checkpoint,
     train_step,
-    _CheckpointMeta,
-    _MemoryMeta,
 )
 from duelmem.verify import infonce_loss, numerical_gradient
 
@@ -37,10 +43,14 @@ def _unit(rng, n, z):
     return normalize(rng.normal(size=(n, z)))
 
 
-def _tiny_state(
-    lr=0.05, steps=5, momentum=0.9, guarded=False, seed=7, source="mixed", kernel=AffineCosine()
-):
-    cfg = TrainerConfig(
+# The run seed of every tiny state.
+SEED = 7
+
+
+def _tiny_config(
+    lr=0.05, steps=5, momentum=0.9, guarded=False, source="mixed", kernel=AffineCosine()
+) -> ExperimentConfig:
+    trainer = TrainerConfig(
         batch_size=4,
         memory_neg_count=4,
         negative_source=source,
@@ -49,10 +59,25 @@ def _tiny_state(
         steps=steps,
         d_out=3,
     )
-    extractor = FeatureExtractor(4, 3, seed=seed)
-    memory = ActiveMemory(8, 3, kernel, "duel", seed=5)
-    memory.push_batch(_unit(np.random.default_rng(3), 8, 3), np.zeros(8, int))
-    return TrainState.create(cfg, extractor, memory, guarded_memory=guarded, seed=seed)
+    return ExperimentConfig(
+        stream=StreamConfig(d_in=4),
+        trainer=trainer,
+        memory=MemoryConfig(capacity=8, kernel=kernel, guarded=guarded),
+    )
+
+
+def _tiny_state(cfg: ExperimentConfig | None = None, **overrides) -> TrainState:
+    """The step-0 state of run (cfg, SEED), its memory full; cfg defaults to
+    _tiny_config(**overrides)."""
+    state = _initial_state(cfg or _tiny_config(**overrides), SEED)
+    state.memory.push_batch(_unit(np.random.default_rng(3), 8, 3), np.zeros(8, int))
+    return state
+
+
+def _save_tiny(path, **overrides) -> None:
+    """Save the checkpoint of a tiny state at path."""
+    cfg = _tiny_config(**overrides)
+    save_checkpoint(path, _tiny_state(cfg), cfg, SEED)
 
 
 class TestFeatureExtractor:
@@ -327,8 +352,8 @@ def _set_memory_meta(**values):
     return lambda arrays, meta: meta["memory"].update(values)
 
 
-def _set_trainer_meta(**values):
-    return lambda arrays, meta: meta["trainer"].update(values)
+def _set_config(section, **values):
+    return lambda arrays, meta: meta["config"][section].update(values)
 
 
 def _set_meta(**values):
@@ -347,7 +372,8 @@ def _wrong_score(arrays, meta):
     arrays["mem.scores"][3] += 1e-6
 
 
-# name -> (fault, field the error must name). The memory holds 8 of 8.
+# name -> (fault, field the error must name). The memory holds 8 of 8, and
+# the key extractor is saved (momentum 0.9).
 CHECKPOINT_FAULTS = {
     "emb_shape": (_truncate("mem.emb"), "emb"),
     "labels_length": (_truncate("mem.labels"), "labels"),
@@ -355,29 +381,32 @@ CHECKPOINT_FAULTS = {
     "scores_length": (_truncate("mem.scores"), "scores"),
     "count_above_capacity": (_set_memory_meta(count=9), "count"),
     # The naive DUEL oracle is no policy a memory can be built with.
-    "policy_duel_naive": (_set_memory_meta(policy="duel_naive"), "duel_naive"),
+    "policy_duel_naive": (_set_config("memory", policy="duel_naive"), "duel_naive"),
     "count_negative": (_set_memory_meta(count=-1), "count"),
     "seen_below_count": (_set_memory_meta(seen=7), "seen"),
     "non_finite_entry": (_nan_row, "emb"),
     "non_unit_entry": (_scaled_row, "emb"),
     "wrong_scores": (_wrong_score, "scores"),
-    "trainer_unknown_field": (_set_trainer_meta(warmup=3), "warmup"),
-    "trainer_mistyped_field": (_set_trainer_meta(batch_size="4"), "batch_size"),
-    # The extractor is built from meta.trainer, so a changed d_out or hidden
-    # no longer fits the stored parameters.
-    "trainer_d_out_disagrees": (_set_trainer_meta(d_out=5), "q.W"),
-    "trainer_hidden_disagrees": (_set_trainer_meta(hidden=6), "q.*"),
-    "kernel_missing_tau": (_set_memory_meta(kernel={"form": "exp"}), "tau"),
-    "kernel_oracle": (_set_memory_meta(kernel={"form": "oracle"}), "meta.memory.kernel.form"),
-    "kernel_string_tau": (
-        _set_memory_meta(kernel={"form": "exp", "tau": "0.5"}),
-        "meta.memory.kernel.tau",
+    "trainer_unknown_field": (_set_config("trainer", warmup=3), "warmup"),
+    "trainer_mistyped_field": (_set_config("trainer", batch_size="4"), "batch_size"),
+    # The state is built from meta.config, so a changed d_out or hidden no
+    # longer fits the stored parameters.
+    "trainer_d_out_disagrees": (_set_config("trainer", d_out=5), "q.W: expected shape"),
+    "trainer_hidden_disagrees": (_set_config("trainer", hidden=6), "q.W1: missing"),
+    "kernel_missing_tau": (_set_config("memory", kernel={"form": "exp"}), "tau"),
+    "kernel_oracle": (
+        _set_config("memory", kernel={"form": "oracle"}),
+        "meta.config.memory.kernel.form",
     ),
-    "capacity_string": (_set_memory_meta(capacity="8"), "meta.memory.capacity"),
-    "d_in_string": (_set_meta(d_in="4"), "meta.d_in"),
-    "d_in_zero": (_set_meta(d_in=0), "meta.d_in"),
-    "capacity_zero": (_set_memory_meta(capacity=0), "meta.memory.capacity"),
-    "policy_unknown": (_set_memory_meta(policy="lru"), "meta.memory.policy"),
+    "kernel_string_tau": (
+        _set_config("memory", kernel={"form": "exp", "tau": "0.5"}),
+        "meta.config.memory.kernel.tau",
+    ),
+    "capacity_string": (_set_config("memory", capacity="8"), "meta.config.memory.capacity"),
+    "d_in_string": (_set_config("stream", d_in="4"), "meta.config.stream.d_in"),
+    "d_in_zero": (_set_config("stream", d_in=0), "meta.config.stream.d_in"),
+    "capacity_zero": (_set_config("memory", capacity=0), "meta.config.memory.capacity"),
+    "policy_unknown": (_set_config("memory", policy="lru"), "meta.config.memory.policy"),
     "step_missing": (lambda arrays, meta: meta.pop("step"), "step"),
     "step_negative": (_set_meta(step=-5), "meta.step"),
     "step_above_steps": (_set_meta(step=6), "meta.step"),
@@ -386,25 +415,35 @@ CHECKPOINT_FAULTS = {
         _set_memory_meta(rng={"bit_generator": "PCG64"}),
         "meta.memory.rng",
     ),
-    "experiment_config_list": (_set_meta(experiment_config=[]), "meta.experiment_config"),
+    # The format-2 copy of the config, left in a format-3 meta.
+    "experiment_config_list": (
+        _set_meta(experiment_config=[]),
+        "meta: unknown fields ['experiment_config']",
+    ),
     "version_1": (_set_meta(version=1), "meta.version"),
+    "version_2": (_set_meta(version=2), "meta.version"),
     "param_shape": (_truncate("q.W"), "q.W"),
-    "param_missing": (lambda arrays, meta: arrays.pop("k.b"), "k."),
-    # meta.trainer.momentum says a key extractor was saved.
+    "param_missing": (lambda arrays, meta: arrays.pop("k.b"), "k.b: missing"),
+    # meta.config.trainer.momentum says a key extractor was saved.
     "key_params_missing": (
         lambda arrays, meta: [arrays.pop(k) for k in ("k.W", "k.b")],
-        "k.",
+        "k.W: missing",
     ),
+    # ... and, set to null, that none was: the stored one would go unread.
+    "key_params_unread": (_set_config("trainer", momentum=None), "k.W: not an array"),
     "param_extra": (
         lambda arrays, meta: arrays.update({"am.extra": np.zeros(3)}),
-        "am.",
+        "am.extra: not an array",
+    ),
+    "stray_array": (
+        lambda arrays, meta: arrays.update({"zz.W": np.zeros(3)}),
+        "zz.W: not an array",
     ),
 }
 
 
-# Objects the codec passes through as they are: generator states and the
-# experiment config, which export_embeddings parses itself.
-_OPAQUE = ("rng", "experiment_config")
+# Objects the codec passes through as they are: generator states.
+_OPAQUE = ("rng",)
 
 
 def _at(meta: dict, keys: list) -> dict:
@@ -420,7 +459,7 @@ def _meta_faults() -> list:
     walk a kernel parameter."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "ckpt.npz")
-        save_checkpoint(path, _tiny_state(kernel=ExponentialTemp(0.5)))
+        _save_tiny(path, kernel=ExponentialTemp(0.5))
         with np.load(path) as data:
             saved = json.loads(bytes(data["meta"]).decode())
     faults = []
@@ -520,8 +559,8 @@ class TestFlatParams:
                        state.adam_m, state.adam_v):
             self._assert_flat(params)
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, state)
-        loaded, _ = load_checkpoint(path)
+        save_checkpoint(path, state, _tiny_config(), SEED)
+        loaded, _, _ = load_checkpoint(path)
         for params in (loaded.extractor.params, loaded.key_extractor.params,
                        loaded.adam_m, loaded.adam_v):
             self._assert_flat(params)
@@ -540,17 +579,20 @@ class TestFlatParams:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        state = _tiny_state()
+        cfg = _tiny_config()
+        state = _tiny_state(cfg)
         rng = np.random.default_rng(13)
         for _ in range(3):
             X = rng.normal(size=(4, 4))
             train_step(state, X, X + 0.1 * rng.normal(size=(4, 4)))
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, state, experiment_config={"note": "unit"})
-        loaded, exp_cfg = load_checkpoint(path)
-        assert exp_cfg == {"note": "unit"}
+        save_checkpoint(path, state, cfg, SEED)
+        loaded, loaded_cfg, seed = load_checkpoint(path)
+        assert loaded_cfg == cfg and seed == SEED
         assert loaded.step == state.step
         assert loaded.config == state.config
+        assert loaded.rng.bit_generator.state == state.rng.bit_generator.state
+        assert loaded.memory.rng.bit_generator.state == state.memory.rng.bit_generator.state
         for k in state.extractor.params:
             assert np.array_equal(
                 loaded.extractor.params[k], state.extractor.params[k]
@@ -568,14 +610,15 @@ class TestCheckpoint:
         # each later step is compared too: a loaded parameter cut off from
         # the buffer Adam updates would show there.
         for momentum in (None, 0.9):
-            state = _tiny_state(steps=8, momentum=momentum)
+            cfg = _tiny_config(steps=8, momentum=momentum)
+            state = _tiny_state(cfg)
             rng = np.random.default_rng(14)
             for _ in range(2):
                 X = rng.normal(size=(4, 4))
                 train_step(state, X, X + 0.1 * rng.normal(size=(4, 4)))
             path = tmp_path / "ckpt.npz"
-            save_checkpoint(path, state)
-            loaded, _ = load_checkpoint(path)
+            save_checkpoint(path, state, cfg, SEED)
+            loaded, _, _ = load_checkpoint(path)
             X = np.random.default_rng(15).normal(size=(4, 4))
             Xp = X + 0.1
             assert train_step(state, X, Xp).loss == train_step(loaded, X, Xp).loss
@@ -589,7 +632,7 @@ class TestCheckpoint:
     def test_corrupt_state_rejected(self, tmp_path, capsys, fault):
         inject, field_name = CHECKPOINT_FAULTS[fault]
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, _tiny_state())
+        _save_tiny(path)
         load_checkpoint(path)  # intact checkpoints load
         _rewrite_checkpoint(path, inject)
         with pytest.raises(ValueError, match=re.escape(field_name)):
@@ -614,7 +657,7 @@ class TestCheckpoint:
         """The memory validates its state_dict; the checkpoint says where
         each rejected entry is stored."""
         ckpt = tmp_path / "ckpt.npz"
-        save_checkpoint(ckpt, _tiny_state())
+        _save_tiny(ckpt)
         _rewrite_checkpoint(ckpt, CHECKPOINT_FAULTS[fault][0])
         with pytest.raises(ValueError, match=rf"^{re.escape(path)}:"):
             load_checkpoint(ckpt)
@@ -624,7 +667,7 @@ class TestCheckpoint:
     )
     def test_meta_fault_names_exact_path(self, tmp_path, capsys, path, fault):
         ckpt = tmp_path / "ckpt.npz"
-        save_checkpoint(ckpt, _tiny_state(kernel=ExponentialTemp(0.5)))
+        _save_tiny(ckpt, kernel=ExponentialTemp(0.5))
         _rewrite_checkpoint(ckpt, fault)
         # The exact path, then a colon: "meta.memory" must not be satisfied
         # by a message about "meta.memory.count".
@@ -640,20 +683,44 @@ class TestCheckpoint:
         kernel = ExponentialTemp(0.25) if form == "exp" else KERNEL_FORMS[form]()
         rng = np.random.default_rng(3).bit_generator.state
         meta = _CheckpointMeta(
-            trainer=TrainerConfig(hidden=5, momentum=None),
-            d_in=4,
-            memory=_MemoryMeta(8, "fifo", kernel, 3, 9, rng),
+            config=ExperimentConfig(
+                stream=StreamConfig(d_in=4),
+                trainer=TrainerConfig(hidden=5, momentum=None),
+                memory=MemoryConfig(8, "fifo", kernel, guarded=True),
+            ),
+            seed=1,
             step=2,
-            guarded_memory=True,
             rng=rng,
-            experiment_config={"seed": 1},
+            memory=_MemoryMeta(3, 9, rng),
         )
         assert decode(_CheckpointMeta, json.loads(json.dumps(encode(meta))), "meta") == meta
 
-    def test_version_mismatch_rejected(self, tmp_path):
-        state = _tiny_state()
+    def test_meta_holds_one_copy_of_the_config(self, tmp_path):
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, state)
+        _save_tiny(path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+        assert set(meta) == {"version", "config", "seed", "step", "rng", "memory"}
+        assert set(meta["memory"]) == {"count", "seen", "rng"}
+        assert meta["config"] == encode(_tiny_config())
+        assert meta["seed"] == SEED
+
+    def test_missing_meta_rejected(self, tmp_path, capsys):
+        path = tmp_path / "ckpt.npz"
+        _save_tiny(path)
+        with np.load(path) as data:
+            arrays = {k: v for k, v in data.items() if k != "meta"}
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="^meta: missing"):
+            load_checkpoint(path)
+        out = str(tmp_path / "emb.csv")
+        assert main(["export-embeddings", "--ckpt", str(path), "--out", out]) == USAGE_ERROR
+        assert "meta: missing" in capsys.readouterr().err
+
+    def test_version_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.npz"
+        _save_tiny(path)
         data = dict(np.load(path, allow_pickle=False))
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         meta["version"] = 999
