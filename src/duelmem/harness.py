@@ -3,8 +3,9 @@ and checkpoints.
 
 A run is fully determined by (config, seed): the seed is split into
 independent child seeds for the stream, extractor init, negative sampling
-and the memory policy, so repeated runs write byte-identical artifacts. A
-checkpoint stores the config and seed once and rebuilds its state from them.
+and the memory policy, so repeated runs write byte-identical artifacts. Its
+phases share one Run: _start, then one _step per training step, then _finish.
+A checkpoint stores the config and seed once and rebuilds its state from them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ __all__ = [
     "EvalConfig",
     "ExperimentConfig",
     "MemoryConfig",
-    "RunResult",
+    "Run",
     "bench_policies",
     "default_config_dict",
     "export_embeddings",
@@ -117,7 +118,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path) as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise ConfigError(f"config: invalid JSON ({exc})") from exc
     return parse_config(raw)
 
@@ -126,20 +127,27 @@ def load_config(path) -> ExperimentConfig:
 
 
 @dataclass
-class RunResult:
+class Run:
+    """A run's state: built by _start, advanced by _step, written out by _finish."""
+
+    cfg: ExperimentConfig
     seed: int
     out_dir: str
-    rows: list[MetricsRow]
-    final: MetricsRow
+    state: TrainState
+    stream: GaussianPairStream
+    eval_set: tuple[np.ndarray, np.ndarray]
+    probe_train: tuple[np.ndarray, np.ndarray]
+    probe_test: tuple[np.ndarray, np.ndarray]
+    rows: list[MetricsRow] = field(default_factory=list)
 
-
-def _child_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    return np.random.SeedSequence(seed).spawn(n)
+    @property
+    def final(self) -> MetricsRow:
+        return self.rows[-1]
 
 
 def _initial_state(cfg: ExperimentConfig, seed: int) -> TrainState:
     """The step-0 state of run (cfg, seed), its memory still empty."""
-    _, ss_init, ss_neg, ss_mem, _ = _child_seeds(seed, 5)
+    _, ss_init, ss_neg, ss_mem, _ = np.random.SeedSequence(seed).spawn(5)
     extractor = FeatureExtractor(
         cfg.stream.d_in,
         cfg.trainer.d_out,
@@ -162,18 +170,11 @@ def _initial_state(cfg: ExperimentConfig, seed: int) -> TrainState:
     )
 
 
-def run_experiment(
-    cfg: ExperimentConfig, seed: int, out_dir: str | None = None
-) -> RunResult:
-    """Train on the configured stream and write run artifacts.
-
-    Writes config.json, metrics.csv, a mid-run and a final memory snapshot,
-    and checkpoint.npz into out_dir. Byte-identical for identical
-    (config, seed).
-    """
+def _start(cfg: ExperimentConfig, seed: int, out_dir: str) -> Run:
+    """The stream, the prefilled step-0 state, the eval sets and config.json."""
     if seed < 0:
         raise ValueError(f"seed: must be >= 0, got {seed}")
-    ss_stream, _, _, _, ss_eval = _child_seeds(seed, 5)
+    ss_stream, _, _, _, ss_eval = np.random.SeedSequence(seed).spawn(5)
 
     stream = GaussianPairStream(
         cfg.stream,
@@ -181,72 +182,86 @@ def run_experiment(
         means_seed=seed,
     )
     state = _initial_state(cfg, seed)
-    memory = state.memory
 
     # Seed the memory so memory negatives exist from the first step.
     X0, _, y0 = stream.sample_batch(cfg.trainer.batch_size)
     init_extractor = state.key_extractor or state.extractor
-    memory.push_batch(init_extractor.forward(X0), y0)
+    state.memory.push_batch(init_extractor.forward(X0), y0)
 
     eval_rng = np.random.default_rng(ss_eval)
-    eval_X, eval_y = stream.sample_balanced(cfg.eval.eval_per_class, eval_rng)
-    probe_train_X, probe_train_y = stream.sample_balanced(
-        cfg.eval.probe_train_per_class, eval_rng
-    )
-    probe_test_X, probe_test_y = stream.sample_balanced(
-        cfg.eval.probe_test_per_class, eval_rng
-    )
+    eval_set = stream.sample_balanced(cfg.eval.eval_per_class, eval_rng)
+    probe_train = stream.sample_balanced(cfg.eval.probe_train_per_class, eval_rng)
+    probe_test = stream.sample_balanced(cfg.eval.probe_test_per_class, eval_rng)
 
-    if out_dir is None:
-        out_dir = os.path.join(cfg.out_dir, f"seed{seed}")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w") as fh:
         json.dump({**cfg.to_dict(), "seed": seed}, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return Run(cfg, seed, out_dir, state, stream, eval_set, probe_train, probe_test)
 
-    rows: list[MetricsRow] = []
-    mid_step = max(1, cfg.trainer.steps // 2)
+
+def _step(run: Run) -> None:
+    """One training step, then its eval row and mid-run snapshot when due."""
+    cfg, state, memory = run.cfg, run.state, run.state.memory
+    X, Xp, labels = run.stream.sample_batch(cfg.trainer.batch_size)
+    report = train_step(state, X, Xp, labels)
+    if report.step % cfg.eval.cadence == 0 or report.step == cfg.trainer.steps:
+        eval_X, eval_y = run.eval_set
+        Zeval = state.extractor.forward(eval_X)
+        probe_acc = None
+        if report.step == cfg.trainer.steps:
+            (train_X, train_y), (test_X, test_y) = run.probe_train, run.probe_test
+            probe_acc = linear_probe(
+                state.extractor.forward(train_X),
+                train_y,
+                state.extractor.forward(test_X),
+                test_y,
+                steps=cfg.eval.probe_steps,
+            )
+        run.rows.append(
+            MetricsRow(
+                step=report.step,
+                loss=report.loss,
+                lr=report.lr,
+                class_entropy=class_entropy(memory.labels),
+                v_intra=intra_class_variance(Zeval, eval_y),
+                s_inter=inter_class_similarity(Zeval, eval_y),
+                mean_mem_distinct=memory.mean_distinctiveness(),
+                dominant_frac=dominant_fraction(memory.labels),
+                probe_acc=probe_acc,
+            )
+        )
+    # After the eval row, whose mean_distinctiveness leaves the score
+    # cache fresh, so a snapshot at an eval step computes no scores.
+    if report.step == max(1, cfg.trainer.steps // 2):
+        path = os.path.join(run.out_dir, f"memory_step{report.step:06d}.csv")
+        memory.snapshot_csv(path)
+
+
+def _finish(run: Run) -> Run:
+    """Write metrics.csv, the final memory snapshot and the checkpoint."""
+    out, state = run.out_dir, run.state
+    write_metrics_csv(os.path.join(out, "metrics.csv"), run.rows)
+    state.memory.snapshot_csv(os.path.join(out, f"memory_step{state.step:06d}.csv"))
+    save_checkpoint(os.path.join(out, "checkpoint.npz"), state, run.cfg, run.seed)
+    return run
+
+
+def run_experiment(
+    cfg: ExperimentConfig, seed: int, out_dir: str | None = None
+) -> Run:
+    """Train on the configured stream and write run artifacts.
+
+    Writes config.json, metrics.csv, a mid-run and a final memory snapshot,
+    and checkpoint.npz into out_dir, byte-identical for identical (config,
+    seed), and returns the Run, which holds the trained state.
+    """
+    if out_dir is None:
+        out_dir = os.path.join(cfg.out_dir, f"seed{seed}")
+    run = _start(cfg, seed, out_dir)
     for _ in range(cfg.trainer.steps):
-        X, Xp, labels = stream.sample_batch(cfg.trainer.batch_size)
-        report = train_step(state, X, Xp, labels)
-        if report.step % cfg.eval.cadence == 0 or report.step == cfg.trainer.steps:
-            Zeval = state.extractor.forward(eval_X)
-            is_final = report.step == cfg.trainer.steps
-            probe_acc = None
-            if is_final:
-                probe_acc = linear_probe(
-                    state.extractor.forward(probe_train_X),
-                    probe_train_y,
-                    state.extractor.forward(probe_test_X),
-                    probe_test_y,
-                    steps=cfg.eval.probe_steps,
-                )
-            rows.append(
-                MetricsRow(
-                    step=report.step,
-                    loss=report.loss,
-                    lr=report.lr,
-                    class_entropy=class_entropy(memory.labels),
-                    v_intra=intra_class_variance(Zeval, eval_y),
-                    s_inter=inter_class_similarity(Zeval, eval_y),
-                    mean_mem_distinct=memory.mean_distinctiveness(),
-                    dominant_frac=dominant_fraction(memory.labels),
-                    probe_acc=probe_acc,
-                )
-            )
-        # After the eval row, whose mean_distinctiveness leaves the score
-        # cache fresh, so a snapshot at an eval step computes no scores.
-        if report.step == mid_step:
-            memory.snapshot_csv(
-                os.path.join(out_dir, f"memory_step{report.step:06d}.csv")
-            )
-
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), rows)
-    memory.snapshot_csv(
-        os.path.join(out_dir, f"memory_step{cfg.trainer.steps:06d}.csv")
-    )
-    save_checkpoint(os.path.join(out_dir, "checkpoint.npz"), state, cfg, seed)
-    return RunResult(seed=seed, out_dir=out_dir, rows=rows, final=rows[-1])
+        _step(run)
+    return _finish(run)
 
 
 # -- benchmarking -------------------------------------------------------------
@@ -320,11 +335,6 @@ def export_embeddings(ckpt_path, out_path, per_class: int = 100) -> int:
         raise ValueError(f"per_class: must be >= 0, got {per_class}")
     state, cfg, seed = load_checkpoint(ckpt_path)
     stream = GaussianPairStream(cfg.stream, means_seed=seed)
-    if per_class == 0:
-        write_embedding_csv(
-            out_path, np.zeros((0, state.extractor.d_out)), labels=None
-        )
-        return 0
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE8BED]))
     X, y = stream.sample_balanced(per_class, rng)
     Z = state.extractor.forward(X)
@@ -413,7 +423,10 @@ def load_checkpoint(path) -> tuple[TrainState, ExperimentConfig, int]:
     with np.load(path) as data:
         if "meta" not in data.files:
             raise ValueError("meta: missing from the checkpoint")
-        raw = json.loads(bytes(data["meta"]).decode())
+        try:
+            raw = json.loads(bytes(data["meta"]).decode())
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValueError(f"meta: invalid JSON ({exc})") from exc
         meta = decode_versioned(_CheckpointMeta, raw, CHECKPOINT_VERSION, "meta")
         state = _initial_state(meta.config, meta.seed)
         groups = _param_groups(state)

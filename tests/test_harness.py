@@ -19,7 +19,7 @@ from duelmem.harness import (
     BENCH_FIELDS,
     CONFIG_VERSION,
     ConfigError,
-    RunResult,
+    Run,
     bench_policies,
     default_config_dict,
     export_embeddings,
@@ -324,6 +324,34 @@ class TestRunExperiment:
         assert stored["seed"] == 0
         assert parse_config({k: v for k, v in stored.items() if k != "seed"}) == cfg
 
+    def test_run_holds_the_trained_state(self, tmp_path):
+        cfg = parse_config(tiny_config_dict())
+        out = tmp_path / "run"
+        result = run_experiment(cfg, seed=0, out_dir=str(out))
+        assert isinstance(result, Run)
+        assert (result.cfg, result.out_dir) == (cfg, str(out))
+        assert result.state.step == cfg.trainer.steps
+
+        _, *cells = read_csv(out / "metrics.csv")
+        parsed = [
+            MetricsRow(int(step), *map(float, floats), float(probe) if probe else None)
+            for step, *floats, probe in cells
+        ]
+        assert result.rows == parsed
+
+        # The stream's one generator is all a checkpoint needs to continue it.
+        generators = [
+            name
+            for name, value in vars(result.stream).items()
+            if isinstance(value, np.random.Generator)
+        ]
+        assert generators == ["rng"]
+        saved = result.stream.rng.bit_generator.state
+        first = result.stream.sample_batch(cfg.trainer.batch_size)
+        result.stream.rng.bit_generator.state = saved
+        again = result.stream.sample_batch(cfg.trainer.batch_size)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
     def test_memory_snapshot_row_count(self, tmp_path):
         cfg = parse_config(tiny_config_dict())
         out = tmp_path / "run"
@@ -410,7 +438,8 @@ class TestBenchPolicies:
         def fake_run(cfg, seed, out_dir):
             ent, v, s, dom, probe = finals[cfg.memory.policy, seed]
             final = MetricsRow(6, 0.0, 0.0, ent, v, s, 0.0, dom, probe)
-            return RunResult(seed, out_dir, [final], final)
+            # bench_policies reads only the final row.
+            return Run(cfg, seed, out_dir, None, None, None, None, None, rows=[final])
 
         monkeypatch.setattr(harness_module, "run_experiment", fake_run)
         rows = bench_policies(
@@ -493,6 +522,7 @@ class TestExportEmbeddings:
         csv_path = tmp_path / "empty.csv"
         assert export_embeddings(out / "checkpoint.npz", csv_path, per_class=0) == 0
         assert len(read_csv(csv_path)) == 1
+        assert csv_path.read_bytes() == b"id,label,v_0,v_1,v_2,v_3\r\n"
 
 
 class TestCli:
@@ -602,6 +632,16 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", cfg_path, "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "data", [b"{not json", b"\xff\xfe"], ids=["not-json", "not-utf8"]
+    )
+    def test_unreadable_config_names_config(self, tmp_path, capsys, data):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(data)
+        out = str(tmp_path / "out")
+        assert main(["run", "--config", str(cfg_path), "--out", out]) == 1
+        assert "config: invalid JSON" in capsys.readouterr().err
 
     def test_missing_config_file_returns_usage_error(self, tmp_path, capsys):
         out = tmp_path / "out"

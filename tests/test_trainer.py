@@ -334,12 +334,15 @@ class TestTrainStep:
 
 
 def _rewrite_checkpoint(path, fault) -> None:
-    """Apply fault(arrays, meta) to a saved checkpoint in place."""
+    """Apply fault(arrays, meta) to a saved checkpoint in place. meta is
+    stored re-encoded, unless the fault replaced the stored array itself."""
     with np.load(path) as data:
         arrays = dict(data)
-    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    stored = arrays["meta"]
+    meta = json.loads(bytes(stored).decode("utf-8"))
     fault(arrays, meta)
-    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    if arrays["meta"] is stored:
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
@@ -358,6 +361,10 @@ def _set_config(section, **values):
 
 def _set_meta(**values):
     return lambda arrays, meta: meta.update(values)
+
+
+def _meta_bytes(raw: bytes):
+    return lambda arrays, meta: arrays.update(meta=np.frombuffer(raw, dtype=np.uint8))
 
 
 def _nan_row(arrays, meta):
@@ -420,6 +427,8 @@ CHECKPOINT_FAULTS = {
         _set_meta(experiment_config=[]),
         "meta: unknown fields ['experiment_config']",
     ),
+    "meta_not_json": (_meta_bytes(b"{not json"), "meta: invalid JSON"),
+    "meta_not_utf8": (_meta_bytes(b"\xff\xfe"), "meta: invalid JSON"),
     "version_1": (_set_meta(version=1), "meta.version"),
     "version_2": (_set_meta(version=2), "meta.version"),
     "param_shape": (_truncate("q.W"), "q.W"),
