@@ -88,8 +88,8 @@ class StreamConfig:
     imbalance: Imbalance = Dominant()
 
     def __post_init__(self) -> None:
-        if self.n_classes < 1:
-            raise ValueError("n_classes: must be >= 1")
+        if self.n_classes < 2:
+            raise ValueError("n_classes: must be >= 2")
         if self.d_in < 1:
             raise ValueError("d_in: must be >= 1")
         if not self.separation > 0:

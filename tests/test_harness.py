@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import json
@@ -29,6 +30,7 @@ from duelmem.harness import (
 )
 from duelmem.metrics import MetricsRow
 from duelmem.streams import load_embedding_stream
+from duelmem.verify import check_harness_determinism
 
 
 def tiny_config_dict(**overrides) -> dict:
@@ -85,6 +87,14 @@ VALUE_FAULTS = {
     "memory.kernel.tau": 0.0,
     "stream.imbalance.rho_max": 1.0,
     "stream.imbalance.ratio": 0.5,
+    "stream.n_classes": 1,
+}
+
+# The variant a fault needs selected. Under the tiny config's dominant
+# imbalance, one class is refused by the rho_max bound, not by n_classes.
+FAULT_VARIANTS = {
+    **VARIANT_FIELDS,
+    "stream.n_classes": VARIANT_FIELDS["stream.imbalance.ratio"],
 }
 
 
@@ -103,19 +113,20 @@ def config_field_paths() -> list[str]:
 
 
 def set_path(raw: dict, path: str, value):
-    """Set raw at a dotted path; returns the value it replaces."""
+    """Set raw at a dotted path to a copy of value, so no test writes into
+    a shared variant; returns the value it replaces."""
     *outer, last = path.split(".")
     for key in outer:
         raw = raw[key]
     previous = raw.get(last)
-    raw[last] = value
+    raw[last] = copy.deepcopy(value)
     return previous
 
 
 def set_fault(raw: dict, path: str, value) -> None:
     """Set raw at a dotted path, first selecting the variant it needs."""
-    if path in VARIANT_FIELDS:
-        set_path(raw, *VARIANT_FIELDS[path])
+    if path in FAULT_VARIANTS:
+        set_path(raw, *FAULT_VARIANTS[path])
     set_path(raw, path, value)
 
 
@@ -393,6 +404,18 @@ class TestRunExperiment:
         assert (loaded_cfg, seed) == (cfg, 0)
         assert state.config.d_out == cfg.trainer.d_out == 4
         assert state.config.hidden == cfg.trainer.hidden == 5
+
+    def test_determinism_check_catches_unseeded_noise(self, monkeypatch):
+        train_step = harness_module.train_step
+
+        def noisy(state, X, Xp, *labels):
+            noise = 1e-6 * np.random.default_rng().normal(size=X.shape)
+            return train_step(state, X + noise, Xp, *labels)
+
+        monkeypatch.setattr(harness_module, "train_step", noisy)
+        ok, detail = check_harness_determinism(quick=True)
+        assert not ok
+        assert detail == "metrics.csv differs between identical runs"
 
     def test_guarded_memory_runs(self, tmp_path):
         raw = tiny_config_dict()

@@ -14,13 +14,14 @@ from duelmem.kernels import (
     normalize,
     pair_scores,
 )
-from duelmem.memory import ActiveMemory, guarded_update
+from duelmem.memory import POLICIES, ActiveMemory, guarded_update
 from duelmem.verify import (
     ORACLE_KERNEL,
     NaiveDuel,
     affine_duel_replay,
     check_cache_coherence,
     check_incremental_matches_naive,
+    check_label_blindness,
     check_selection_equivalence,
     naive_select,
 )
@@ -115,12 +116,13 @@ class TestFillPhase:
         assert mem.size == 2
 
     def test_capacity_never_exceeded(self):
-        rng = np.random.default_rng(0)
-        mem = ActiveMemory(8, 4, AffineCosine())
-        for _ in range(6):
-            mem.push_batch(_unit(rng, 5, 4))
-            assert mem.size <= 8
-        assert mem.size == mem.capacity
+        for policy in POLICIES:
+            rng = np.random.default_rng(0)
+            mem = ActiveMemory(8, 4, AffineCosine(), policy=policy)
+            for _ in range(6):
+                mem.push_batch(_unit(rng, 5, 4))
+                assert mem.size <= 8, policy
+            assert mem.size == mem.capacity
 
 
 class TestIncrementalFill:
@@ -1129,6 +1131,21 @@ class TestVerifyNegativeControl:
         ok, detail = check_incremental_matches_naive(quick=True)
         assert not ok
         assert detail.startswith("labels diverge")
+
+    def test_label_ordered_push_is_detected(self, monkeypatch):
+        # A DUEL push that offers its batch in label order: the victims
+        # follow the labels. A memory binds its push path when it is built,
+        # so the entry is patched before the check builds any.
+        push = memory_module._PUSH["duel"]
+
+        def by_label(mem, X, lab):
+            order = np.argsort(lab, kind="stable")
+            return push(mem, X[order], lab[order])
+
+        monkeypatch.setitem(memory_module._PUSH, "duel", by_label)
+        ok, detail = check_label_blindness(quick=True)
+        assert not ok
+        assert detail == "evictions changed under label permutation"
 
     def test_checks_pass_with_correct_constant(self):
         assert check_cache_coherence(quick=True)[0]

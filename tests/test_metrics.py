@@ -34,6 +34,10 @@ class TestClassEntropy:
     def test_single_class_is_zero(self):
         assert class_entropy(np.zeros(8, dtype=np.int64)) == 0.0
 
+    def test_random_labels_stay_under_ceiling(self):
+        labels = np.random.default_rng(25).integers(0, 6, size=200)
+        assert class_entropy(labels) <= math.log(6) + 1e-12
+
     def test_skew_lowers_entropy(self):
         skewed = np.array([0] * 9 + [1])
         assert class_entropy(skewed) < class_entropy(np.array([0] * 5 + [1] * 5))

@@ -27,6 +27,7 @@ class TestImbalanceProfiles:
         p = Dominant(0.75).probs(10)
         assert p[0] == 0.75
         assert np.allclose(p[1:], 0.25 / 9)
+        assert np.allclose(p[1:], 0.25 / 9, rtol=0, atol=1e-12)
         assert math.isclose(float(p.sum()), 1.0, abs_tol=1e-12)
 
     def test_dominant_uniform_edge(self):
@@ -44,14 +45,17 @@ class TestImbalanceProfiles:
     def test_longtail_two_class(self):
         p = longtail_probs(2, 4.0)
         assert np.allclose(p, [0.8, 0.2], atol=1e-12)
+        assert np.allclose(p, [0.8, 0.2], rtol=0, atol=1e-12)
 
     def test_longtail_head_tail_ratio(self):
         p = longtail_probs(1000, 256.0)
         assert math.isclose(p[0] / p[-1], 256.0, rel_tol=1e-9)
+        assert abs(p[0] / p[-1] - 256.0) <= 1e-9
         assert np.all(np.diff(p) < 0)
 
     def test_longtail_ratio_one_is_uniform(self):
         assert np.allclose(longtail_probs(6, 1.0), 1.0 / 6, atol=1e-12)
+        assert np.allclose(longtail_probs(6, 1.0), 1.0 / 6, rtol=0, atol=1e-12)
 
     def test_longtail_rejects_ratio_below_one(self):
         with pytest.raises(ValueError):

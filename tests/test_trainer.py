@@ -36,7 +36,7 @@ from duelmem.trainer import (
     momentum_update,
     train_step,
 )
-from duelmem.verify import infonce_loss, numerical_gradient
+from duelmem.verify import check_gradients, infonce_loss, numerical_gradient
 
 
 def _unit(rng, n, z):
@@ -184,6 +184,19 @@ class TestGradients:
             )
             _, grads, _ = infonce_grad(f, X, X.copy(), u, cfg)
             assert all(np.max(np.abs(g)) < 1e-12 for g in grads.values())
+
+    def test_gradient_check_catches_scaled_gradients(self, monkeypatch):
+        backward = FeatureExtractor.backward
+
+        def scaled(self, cache, dZ):
+            grads = backward(self, cache, dZ)
+            grads.flat *= 1.001
+            return grads
+
+        monkeypatch.setattr(FeatureExtractor, "backward", scaled)
+        ok, detail = check_gradients(quick=True)
+        assert not ok
+        assert detail.startswith("rel err")
 
 
 class TestMomentumUpdate:
