@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from duelmem.information import FiniteDistribution, hml_loss, mhml_bound
-from duelmem.kernels import AffineCosine, ExponentialTemp, normalize
+from duelmem.kernels import AffineCosine, ExponentialTemp, normalize, pair_scores
 from duelmem.verify import ORACLE_KERNEL
 
 
@@ -30,10 +30,11 @@ def main() -> None:
         ("opposite", -a),
     ]:
         cos = float(a @ b)
+        affine = pair_scores(a[None, :], b[None, :], AffineCosine())[0, 0]
+        exp = pair_scores(a[None, :], b[None, :], ExponentialTemp(0.5))[0, 0]
         print(
             f"  cos={cos:+.1f} ({name}): "
-            f"affine {float(AffineCosine().from_cosine(cos)):.4f}, "
-            f"exp(tau=0.5) {float(ExponentialTemp(0.5).from_cosine(cos)):.4f}"
+            f"affine {affine:.4f}, exp(tau=0.5) {exp:.4f}"
         )
 
     print("\n== balanced sets sit at the optimum under a perfect labeler ==")

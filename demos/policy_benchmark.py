@@ -19,11 +19,11 @@ def main() -> None:
     d["stream"]["imbalance"] = {"kind": "dominant", "rho_max": 0.75}
     d["trainer"].update(steps=800, momentum=None, tau=0.1, lr=0.01, hidden=64)
     d["eval"].update(cadence=400, probe_steps=200)
-    d["out_dir"] = tempfile.mkdtemp(prefix="duelmem-bench-")
     d["seeds"] = [0, 1]
     cfg = parse_config(d)
 
-    rows = bench_policies(cfg, ["duel", "fifo", "random", "reservoir"])
+    out_dir = tempfile.mkdtemp(prefix="duelmem-bench-")
+    rows = bench_policies(cfg, ["duel", "fifo", "random", "reservoir"], out_dir)
 
     print(f"{'policy':<10} {'seed':>5} {'H(mem)':>8} {'dom':>6} {'probe':>6}")
     for row in rows:
@@ -32,7 +32,7 @@ def main() -> None:
             f"{row['class_entropy']:>8.3f} {row['dominant_frac']:>6.3f} "
             f"{row['probe_acc']:>6.3f}"
         )
-    print(f"\nbench.csv written under {cfg.out_dir}")
+    print(f"\nbench.csv written under {out_dir}")
 
 
 if __name__ == "__main__":

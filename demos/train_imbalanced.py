@@ -19,11 +19,12 @@ def main() -> None:
     d["stream"]["imbalance"] = {"kind": "dominant", "rho_max": 0.75}
     d["trainer"].update(steps=1200, momentum=None, tau=0.1, lr=0.01, hidden=64)
     d["eval"].update(cadence=300, probe_steps=200)
-    d["out_dir"] = tempfile.mkdtemp(prefix="duelmem-demo-")
     cfg = parse_config(d)
 
     print("training 1200 steps, dominant class at rho_max=0.75, duel memory")
-    result = run_experiment(cfg, seed=0)
+    result = run_experiment(
+        cfg, seed=0, out_dir=tempfile.mkdtemp(prefix="duelmem-demo-")
+    )
 
     header = f"{'step':>6} {'loss':>8} {'H(mem)':>8} {'dom':>6} {'s_inter':>8} {'probe':>6}"
     print("\n" + header)

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench-policies", help="compare eviction policies on one config"
     )
     bench_p.add_argument("--config", required=True)
-    bench_p.add_argument("--out", default=None, help="defaults to the config out_dir")
+    bench_p.add_argument("--out", required=True, help="output directory")
     bench_p.add_argument(
         "--policies", default="duel,fifo,random,reservoir",
         help="comma-separated policy names",

@@ -88,7 +88,7 @@ class ExperimentConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
-    out_dir: str = "runs"
+    out_dir: str = "runs"  # read by nothing; ROADMAP item 1 deletes it
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
 
     def __post_init__(self) -> None:
@@ -248,7 +248,7 @@ def _finish(run: Run) -> Run:
 
 
 def run_experiment(
-    cfg: ExperimentConfig, seed: int, out_dir: str | None = None
+    cfg: ExperimentConfig, seed: int, out_dir: str
 ) -> Run:
     """Train on the configured stream and write run artifacts.
 
@@ -256,8 +256,6 @@ def run_experiment(
     and checkpoint.npz into out_dir, byte-identical for identical (config,
     seed), and returns the Run, which holds the trained state.
     """
-    if out_dir is None:
-        out_dir = os.path.join(cfg.out_dir, f"seed{seed}")
     run = _start(cfg, seed, out_dir)
     for _ in range(cfg.trainer.steps):
         _step(run)
@@ -280,7 +278,7 @@ BENCH_FIELDS = (
 def bench_policies(
     cfg: ExperimentConfig,
     policies: list[str],
-    out_dir: str | None = None,
+    out_dir: str,
 ) -> list[dict]:
     """Run every (policy, seed) cell and tabulate final metrics.
 
@@ -290,8 +288,6 @@ def bench_policies(
     for policy in policies:
         if policy not in POLICIES:
             raise ConfigError(f"policies: unknown policy {policy!r}")
-    if out_dir is None:
-        out_dir = cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
 
     rows: list[dict] = []

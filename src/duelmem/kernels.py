@@ -16,8 +16,6 @@ __all__ = [
     "ExponentialTemp",
     "KERNEL_FORMS",
     "Kernel",
-    "cosine",
-    "mdp",
     "normalize",
     "pair_scores",
     "self_scores",
@@ -36,11 +34,6 @@ def normalize(v: np.ndarray) -> np.ndarray:
     return v / norms
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two unit embeddings (a plain dot product)."""
-    return float(np.clip(np.dot(a, b), -1.0, 1.0))
-
-
 @dataclass(frozen=True)
 class ExponentialTemp:
     """q = exp((s - 1) / tau) for cosine s. q(1) = 1; strictly positive."""
@@ -51,11 +44,9 @@ class ExponentialTemp:
         if not self.tau > 0:
             raise ValueError("tau: must be > 0")
 
-    def from_cosine(self, s: np.ndarray) -> np.ndarray:
-        return self.from_cosine_inplace(np.array(s, dtype=np.float64))[()]
-
     def from_cosine_inplace(self, q: np.ndarray) -> np.ndarray:
-        """from_cosine written over q, a float64 array, and returned."""
+        """exp((s - 1) / tau) of the cosines s in q, a float64 array,
+        written over q and returned."""
         q -= 1.0
         q /= self.tau
         return np.exp(q, out=q)
@@ -65,11 +56,9 @@ class ExponentialTemp:
 class AffineCosine:
     """q = (1 + s) / 2 for cosine s. Maps [-1, 1] onto [0, 1]."""
 
-    def from_cosine(self, s: np.ndarray) -> np.ndarray:
-        return self.from_cosine_inplace(np.array(s, dtype=np.float64))[()]
-
     def from_cosine_inplace(self, q: np.ndarray) -> np.ndarray:
-        """from_cosine written over q, a float64 array, and returned."""
+        """(1 + s) / 2 of the cosines s in q, a float64 array, written over
+        q and returned."""
         q += 1.0
         # Halving is exact, so multiplying by 0.5 equals dividing by 2.
         q *= 0.5
@@ -104,8 +93,3 @@ def pair_scores(X: np.ndarray, Y: np.ndarray, kernel: Kernel) -> np.ndarray:
 def self_scores(X: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Square matrix of pairwise duplication probabilities within X."""
     return pair_scores(X, X, kernel)
-
-
-def mdp(a: np.ndarray, b: np.ndarray, kernel: Kernel) -> float:
-    """Mutual duplication probability of a single embedding pair."""
-    return float(kernel.from_cosine(cosine(a, b)))

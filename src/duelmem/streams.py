@@ -1,4 +1,6 @@
-"""Synthetic class-imbalanced data streams and embedding-stream files.
+"""Synthetic class-imbalanced data streams, and the CSV writers: csv_row for
+every CSV line the package writes, and the embedding files of
+`duelmem export-embeddings`, which nothing in the package reads back.
 
 Samples arrive in batches of pairs: draw a hidden class per pair from an
 imbalance profile, draw x around the class mean, and produce a positive view
@@ -8,9 +10,7 @@ the n classes first and then all of the batch's noise.
 
 from __future__ import annotations
 
-import csv
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "StreamConfig",
     "class_means",
     "csv_row",
-    "load_embedding_stream",
     "longtail_probs",
     "oracle_embedding_stream",
     "write_embedding_csv",
@@ -187,10 +186,7 @@ def oracle_embedding_stream(
         yield eye[c].copy(), c
 
 
-# -- embedding-stream files ---------------------------------------------------
-
-_NORM_SLACK = 1e-6
-
+# -- CSV files ---------------------------------------------------------------
 
 # Characters that make csv.writer's default dialect quote a cell.
 _QUOTED = re.compile('[,"\r\n]')
@@ -221,67 +217,13 @@ def write_embedding_csv(
     path,
     embeddings: np.ndarray,
     labels: np.ndarray | None = None,
-    ids: np.ndarray | None = None,
 ) -> None:
-    """Write `id,label,v_0..v_{z-1}` rows; empty label column if unlabeled."""
+    """Write `id,label,v_0..v_{z-1}` rows with ids 0..n-1; empty label
+    column if unlabeled."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n, z = embeddings.shape
     with open(path, "w", newline="") as fh:
         fh.write(csv_row(["id", "label"] + [f"v_{d}" for d in range(z)], []))
         for i in range(n):
-            row_id = i if ids is None else ids[i]
             label = "" if labels is None else int(labels[i])
-            fh.write(csv_row((row_id, label), embeddings[i].tolist()))
-
-
-def load_embedding_stream(path) -> tuple[list, np.ndarray, np.ndarray]:
-    """Read an embedding CSV back as (ids, labels, unit embeddings).
-
-    Labels are -1 where the label cell is empty. Vectors are renormalized;
-    a warning is emitted when a norm deviates from 1 by more than 1e-6.
-    Malformed rows raise ValueError naming the line number.
-    """
-    ids: list = []
-    labels: list[int] = []
-    rows: list[np.ndarray] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        if header[:2] != ["id", "label"] or len(header) < 3:
-            raise ValueError(f"{path}: line 1: malformed header {header!r}")
-        z = len(header) - 2
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != z + 2:
-                raise ValueError(
-                    f"{path}: line {line_no}: expected {z + 2} fields, got {len(row)}"
-                )
-            try:
-                vec = np.array([float(v) for v in row[2:]])
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-numeric vector entry")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"{path}: line {line_no}: non-finite vector entry")
-            norm = float(np.linalg.norm(vec))
-            if norm == 0.0:
-                raise ValueError(f"{path}: line {line_no}: zero vector")
-            if abs(norm - 1.0) > _NORM_SLACK:
-                warnings.warn(
-                    f"{path}: line {line_no}: norm {norm:.6g} deviates from 1; "
-                    "renormalizing",
-                    stacklevel=2,
-                )
-            try:
-                label = int(row[1]) if row[1] != "" else -1
-            except ValueError:
-                raise ValueError(f"{path}: line {line_no}: non-integer label {row[1]!r}")
-            ids.append(row[0])
-            labels.append(label)
-            rows.append(vec / norm)
-    if rows:
-        emb = np.vstack(rows)
-    else:
-        emb = np.zeros((0, z))
-    return ids, np.asarray(labels, dtype=np.int64), emb
+            fh.write(csv_row((i, label), embeddings[i].tolist()))

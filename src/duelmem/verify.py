@@ -38,7 +38,7 @@ from .information import (
     hml_loss,
     mhml_bound,
 )
-from .kernels import AffineCosine, ExponentialTemp, mdp, normalize, pair_scores
+from .kernels import AffineCosine, ExponentialTemp, normalize, pair_scores
 from .memory import POLICIES, ActiveMemory, PushResult
 from .streams import StreamConfig, Dominant, oracle_embedding_stream
 from .trainer import (
@@ -100,19 +100,21 @@ def _balanced_distribution(rng, n_classes, per_class, z, uniform):
 
 
 def check_kernel_invariants(quick: bool) -> tuple[bool, str]:
-    """mdp symmetry, range, q(a, a) = 1; information measures non-negative."""
+    """pair_scores on a pair's 2-row stack: q in [0, 1], symmetric, and 1 on
+    the diagonal; information measures non-negative."""
     rng = np.random.default_rng(11)
     trials = 50 if quick else 300
     for _ in range(trials):
         z = int(rng.integers(2, 12))
-        a, b = _random_unit(rng, 2, z)
+        pair = _random_unit(rng, 2, z)
+        a = pair[0]
         k = _random_kernel(rng)
-        q_ab, q_ba = mdp(a, b, k), mdp(b, a, k)
-        if not (0.0 <= q_ab <= 1.0):
-            return False, f"q out of range: {q_ab}"
-        if abs(q_ab - q_ba) > 1e-12:
-            return False, "mdp not symmetric"
-        if abs(mdp(a, a, k) - 1.0) > 1e-9:
+        Q = pair_scores(pair, pair, k)
+        if not np.all((Q >= 0.0) & (Q <= 1.0)):
+            return False, f"q out of range: {Q.ravel().tolist()}"
+        if abs(Q[0, 1] - Q[1, 0]) > 1e-12:
+            return False, "pair_scores not symmetric"
+        if np.max(np.abs(np.diagonal(Q) - 1.0)) > 1e-9:
             return False, "q(a, a) != 1"
         ref = FiniteDistribution(_random_unit(rng, 6, z), rng.integers(0, 3, size=6))
         i_d = distinctiveness_information(a, ref, k)
@@ -324,7 +326,8 @@ def _score_products():
 
 def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     """Batched incremental updates replay NaiveDuel exactly, on both the
-    victim block's rows and rows computed outside it."""
+    victim block's rows and rows computed outside it; in full mode also under
+    the exp kernel in a memory of 1024."""
     rng = np.random.default_rng(16)
     trials = 20 if quick else 200
     blocks = outside = 0
@@ -440,9 +443,25 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     if victims != expected or not np.array_equal(fast.embeddings, held) or drift > 1e-9:
         return False, f"memory of {k} diverges from the affine replay (drift {drift:.1e})"
     pushes = 2 * trials + (1 if quick else 3) + 3 + wide
+    detail = f"{pushes} batched updates ({wide} into {k}), both kernels, {cluster}"
+    if not quick:
+        # The exp kernel at scale: batches of 64 into 1024 entries from a
+        # dominant-cluster stream, replayed against NaiveDuel at two tau.
+        k, b, z, n_push = 1024, 64, 16, 5
+        classes = rng.choice(6, size=k + n_push * b, p=Dominant(0.75).probs(6))
+        X = normalize(_random_unit(rng, 6, z)[classes] + 0.35 * rng.normal(size=(classes.size, z)))
+        for tau in (0.1, 0.5):
+            kernel = ExponentialTemp(tau=tau)
+            fast = ActiveMemory.from_arrays(X[:k], classes[:k], kernel=kernel, policy="duel")
+            slow = NaiveDuel(X[:k], classes[:k], kernel=kernel)
+            for p in range(n_push):
+                rows = slice(k + p * b, k + (p + 1) * b)
+                _, fault = replay(fast, slow, X[rows], classes[rows])
+                if fault:
+                    return False, f"{fault} on push {p} into a memory of {k} ({kernel})"
+        detail += f"; exp tau 0.1 and 0.5: {n_push} pushes of {b} into {k} each"
     return True, (
-        f"{pushes} batched updates ({wide} into {k}), both kernels, {cluster}; "
-        f"{blocks} built a victim block, {outside} victims read a row outside one"
+        f"{detail}; {blocks} built a victim block, {outside} victims read a row outside one"
     )
 
 

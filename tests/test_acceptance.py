@@ -34,7 +34,7 @@ def _check(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-def _recipe(rho_max, policy, out_dir, steps=6000, **trainer_overrides):
+def _recipe(rho_max, policy, steps=6000, **trainer_overrides):
     d = default_config_dict()
     d["stream"]["imbalance"] = {"kind": "dominant", "rho_max": rho_max}
     d["trainer"].update(
@@ -48,7 +48,6 @@ def _recipe(rho_max, policy, out_dir, steps=6000, **trainer_overrides):
     d["trainer"].update(trainer_overrides)
     d["memory"]["policy"] = policy
     d["eval"].update(cadence=steps // 2, probe_steps=200)
-    d["out_dir"] = out_dir
     d["seeds"] = list(SEEDS)
     return parse_config(d)
 
@@ -62,9 +61,9 @@ def headline_runs(tmp_path_factory):
     for policy in ("duel", "fifo"):
         per_seed = []
         for seed in SEEDS:
-            cfg = _recipe(0.75, policy, str(root / policy))
+            cfg = _recipe(0.75, policy)
             t0 = time.perf_counter()
-            per_seed.append(run_experiment(cfg, seed))
+            per_seed.append(run_experiment(cfg, seed, str(root / policy / f"seed{seed}")))
             seed_times.append(time.perf_counter() - t0)
         runs[policy] = per_seed
     runs["max_seed_time"] = max(seed_times)
@@ -75,8 +74,8 @@ def headline_runs(tmp_path_factory):
 def half_dominant_runs(tmp_path_factory):
     """duel at rho_max=0.5, 5 seeds; the second half of check A10."""
     root = tmp_path_factory.mktemp("half_dominant")
-    cfg = _recipe(0.5, "duel", str(root / "duel"))
-    return [run_experiment(cfg, seed) for seed in SEEDS]
+    cfg = _recipe(0.5, "duel")
+    return [run_experiment(cfg, seed, str(root / "duel" / f"seed{seed}")) for seed in SEEDS]
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +85,15 @@ def ablation_grid(tmp_path_factory):
     table = {}
     for source in NEGATIVE_SOURCES:
         for eps in (0.0, 1.0):
-            cell = str(root / f"{source}_eps{int(eps)}")
+            cell = root / f"{source}_eps{int(eps)}"
             accs = []
             for seed in SEEDS[:3]:
                 cfg = _recipe(
-                    0.1, "duel", cell, steps=3000,
+                    0.1, "duel", steps=3000,
                     negative_source=source, epsilon=eps,
                 )
-                accs.append(run_experiment(cfg, seed).final.probe_acc)
+                run = run_experiment(cfg, seed, str(cell / f"seed{seed}"))
+                accs.append(run.final.probe_acc)
             table[(source, eps)] = accs
     return table
 
@@ -151,7 +151,7 @@ def test_a10_dominant_fraction_flattened_mid_run(headline_runs, half_dominant_ru
 
 
 def test_a11_identical_runs_are_byte_identical(tmp_path):
-    cfg = _recipe(0.75, "duel", str(tmp_path / "base"), steps=60)
+    cfg = _recipe(0.75, "duel", steps=60)
     run_experiment(cfg, 3, out_dir=str(tmp_path / "first"))
     run_experiment(cfg, 3, out_dir=str(tmp_path / "second"))
     first = (tmp_path / "first" / "metrics.csv").read_bytes()

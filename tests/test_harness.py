@@ -29,7 +29,6 @@ from duelmem.harness import (
     run_experiment,
 )
 from duelmem.metrics import MetricsRow
-from duelmem.streams import load_embedding_stream
 from duelmem.verify import check_harness_determinism
 
 
@@ -494,7 +493,10 @@ class TestExportEmbeddings:
         written = export_embeddings(out / "checkpoint.npz", csv_path, per_class=5)
         assert written == 5 * cfg.stream.n_classes
 
-        _, labels, emb = load_embedding_stream(csv_path)
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        labels = np.array([int(row[1]) for row in rows])
+        emb = np.array([[float(v) for v in row[2:]] for row in rows])
         assert np.array_equal(np.bincount(labels), [5, 5, 5])
         assert emb.shape == (15, cfg.trainer.d_out)
         assert np.allclose(np.linalg.norm(emb, axis=1), 1.0, atol=1e-9)
@@ -673,9 +675,18 @@ class TestCli:
 
     def test_unknown_bench_policy_returns_usage_error(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path)
+        out = str(tmp_path / "bench")
         for policy in ("lru", "duel_naive"):
             code = main(
-                ["bench-policies", "--config", cfg_path, "--policies", f"duel,{policy}"]
+                [
+                    "bench-policies",
+                    "--config",
+                    cfg_path,
+                    "--out",
+                    out,
+                    "--policies",
+                    f"duel,{policy}",
+                ]
             )
             assert code == 1
             assert policy in capsys.readouterr().err

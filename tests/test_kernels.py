@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duelmem import verify
 from duelmem.kernels import (
     AffineCosine,
     ExponentialTemp,
-    cosine,
-    mdp,
     normalize,
     pair_scores,
     self_scores,
@@ -54,50 +53,27 @@ class TestNormalize:
         assert normalize(v).tobytes() == expected.tobytes()
 
 
-class TestCosine:
-    def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_identical(self):
-        v = normalize(np.array([1.0, 2.0, 2.0]))
-        assert math.isclose(cosine(v, v), 1.0, abs_tol=1e-12)
-
-    def test_clipped_to_range(self):
-        # Accumulated rounding can push the raw dot just past 1.
-        v = normalize(np.array([1.0, 1e-8]))
-        assert -1.0 <= cosine(v, v) <= 1.0
-
-
 class TestKernelForms:
     def test_affine_half_similarity(self):
-        assert AffineCosine().from_cosine(0.5) == 0.75
+        assert AffineCosine().from_cosine_inplace(np.array([0.5]))[0] == 0.75
 
     def test_affine_endpoints(self):
-        k = AffineCosine()
-        assert k.from_cosine(1.0) == 1.0
-        assert k.from_cosine(-1.0) == 0.0
+        q = AffineCosine().from_cosine_inplace(np.array([1.0, -1.0]))
+        assert q[0] == 1.0
+        assert q[1] == 0.0
 
     def test_exponential_value(self):
-        q = ExponentialTemp(tau=0.5).from_cosine(0.0)
+        q = ExponentialTemp(tau=0.5).from_cosine_inplace(np.array([0.0]))[0]
         assert math.isclose(q, 0.1353352832366127, rel_tol=0, abs_tol=1e-15)
 
     def test_exponential_identity_pair(self):
-        assert ExponentialTemp(tau=0.7).from_cosine(1.0) == 1.0
+        assert ExponentialTemp(tau=0.7).from_cosine_inplace(np.array([1.0]))[0] == 1.0
 
     def test_exponential_requires_positive_tau(self):
         with pytest.raises(ValueError):
             ExponentialTemp(tau=0.0)
         with pytest.raises(ValueError):
             ExponentialTemp(tau=-1.0)
-
-    @pytest.mark.parametrize(
-        "kernel", [AffineCosine(), ExponentialTemp(tau=0.5)], ids=["affine", "exp"]
-    )
-    def test_from_cosine_leaves_its_input_alone(self, kernel):
-        s = np.linspace(-1.0, 1.0, 9)
-        q = kernel.from_cosine(s)
-        assert np.array_equal(s, np.linspace(-1.0, 1.0, 9))
-        assert np.array_equal(q, [kernel.from_cosine(float(v)) for v in s])
 
 
 class TestPairScores:
@@ -107,17 +83,6 @@ class TestPairScores:
         Q = pair_scores(X, Y, AffineCosine())
         assert Q.shape == (4, 3)
         assert np.allclose(Q, pair_scores(Y, X, AffineCosine()).T)
-
-    def test_matches_mdp_elementwise(self):
-        rng = np.random.default_rng(1)
-        X, Y = _unit(rng, 3, 4), _unit(rng, 2, 4)
-        for kernel in (AffineCosine(), ExponentialTemp(tau=0.8)):
-            Q = pair_scores(X, Y, kernel)
-            for i in range(3):
-                for j in range(2):
-                    assert math.isclose(
-                        Q[i, j], mdp(X[i], Y[j], kernel), abs_tol=1e-12
-                    )
 
     @pytest.mark.parametrize(
         "kernel",
@@ -162,6 +127,19 @@ class TestPairScores:
         assert np.allclose(np.diag(S), 1.0, atol=1e-12)
         assert np.allclose(S, S.T)
 
+    def test_kernel_invariants_catch_an_unclipped_upper_bound(self, monkeypatch):
+        # pair_scores with only the lower clip: a pair's own cosine can round
+        # past 1, and so can its q.
+        def lower_clip_only(X, Y, kernel):
+            s = X @ Y.T
+            s.clip(-1.0, None, out=s)
+            return kernel.from_cosine_inplace(s)
+
+        monkeypatch.setattr(verify, "pair_scores", lower_clip_only)
+        ok, detail = verify.check_kernel_invariants(quick=True)
+        assert not ok
+        assert detail.startswith("q out of range")
+
     def test_label_oracle_pairwise(self):
         # ORACLE_KERNEL on one-hot class embeddings is the label-match
         # matrix exactly, whether or not the embedding has spare dimensions.
@@ -178,17 +156,17 @@ class TestPairScores:
     st.lists(st.floats(-3, 3), min_size=2, max_size=6),
     st.floats(0.1, 3.0),
 )
-def test_mdp_bounds_and_symmetry(a_raw, b_raw, tau):
+def test_pair_scores_bounds_and_symmetry(a_raw, b_raw, tau):
     dim = min(len(a_raw), len(b_raw))
     a, b = np.asarray(a_raw[:dim]), np.asarray(b_raw[:dim])
     if np.linalg.norm(a) < 1e-6 or np.linalg.norm(b) < 1e-6:
         return
-    a, b = normalize(a), normalize(b)
+    a, b = normalize(a)[None, :], normalize(b)[None, :]
     for kernel in (AffineCosine(), ExponentialTemp(tau=tau)):
-        q = mdp(a, b, kernel)
+        q = pair_scores(a, b, kernel)[0, 0]
         assert 0.0 <= q <= 1.0
-        assert math.isclose(q, mdp(b, a, kernel), abs_tol=1e-12)
-        assert math.isclose(mdp(a, a, kernel), 1.0, abs_tol=1e-9)
+        assert math.isclose(q, pair_scores(b, a, kernel)[0, 0], abs_tol=1e-12)
+        assert math.isclose(pair_scores(a, a, kernel)[0, 0], 1.0, abs_tol=1e-9)
 
 
 @settings(max_examples=100, deadline=None)
@@ -196,4 +174,5 @@ def test_mdp_bounds_and_symmetry(a_raw, b_raw, tau):
 def test_kernels_monotone_in_cosine(s1, s2, tau):
     lo, hi = min(s1, s2), max(s1, s2)
     for kernel in (AffineCosine(), ExponentialTemp(tau=tau)):
-        assert kernel.from_cosine(lo) <= kernel.from_cosine(hi) + 1e-15
+        q_lo, q_hi = kernel.from_cosine_inplace(np.array([lo, hi]))
+        assert q_lo <= q_hi + 1e-15

@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from duelmem.kernels import normalize
 from duelmem.streams import (
     Dominant,
     GaussianPairStream,
@@ -15,7 +13,6 @@ from duelmem.streams import (
     StreamConfig,
     class_means,
     csv_row,
-    load_embedding_stream,
     longtail_probs,
     oracle_embedding_stream,
     write_embedding_csv,
@@ -252,85 +249,6 @@ class TestOracleStream:
             )
 
 
-class TestEmbeddingCsv:
-    def _write(self, path, rows):
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
-
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(9)
-        emb = normalize(rng.normal(size=(6, 4)))
-        labels = np.array([0, 1, 2, 0, 1, 2])
-        path = tmp_path / "stream.csv"
-        write_embedding_csv(path, emb, labels)
-        ids, got_labels, got = load_embedding_stream(path)
-        assert [int(i) for i in ids] == list(range(6))
-        assert np.array_equal(got_labels, labels)
-        assert np.allclose(got, emb, atol=1e-15)
-
-    def test_unlabeled_rows_load_as_minus_one(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        write_embedding_csv(path, np.eye(3))
-        _, labels, _ = load_embedding_stream(path)
-        assert np.array_equal(labels, [-1, -1, -1])
-
-    def test_non_unit_rows_warn_and_renormalize(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        self._write(
-            path,
-            ["id,label,v_0,v_1", "0,1,3.0,4.0"],
-        )
-        with pytest.warns(UserWarning):
-            _, _, emb = load_embedding_stream(path)
-        assert np.allclose(emb, [[0.6, 0.8]], atol=1e-12)
-
-    def test_tiny_norm_drift_loads_silently(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        v = 1.0 + 1e-9
-        self._write(path, ["id,label,v_0,v_1", f"0,0,{v!r},0.0"])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            _, _, emb = load_embedding_stream(path)
-        assert math.isclose(float(np.linalg.norm(emb[0])), 1.0, abs_tol=1e-15)
-
-    def test_bad_field_count_names_line(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        self._write(path, ["id,label,v_0,v_1", "0,0,1.0,0.0", "1,0,1.0"])
-        with pytest.raises(ValueError, match="line 3"):
-            load_embedding_stream(path)
-
-    def test_non_numeric_names_line(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        self._write(path, ["id,label,v_0,v_1", "0,0,one,0.0"])
-        with pytest.raises(ValueError, match="line 2"):
-            load_embedding_stream(path)
-
-    @pytest.mark.parametrize("cell", ["x", "1.5"])
-    def test_non_integer_label_names_line(self, tmp_path, cell):
-        path = tmp_path / "stream.csv"
-        self._write(path, ["id,label,v_0,v_1", "0,0,1.0,0.0", f"1,{cell},0.0,1.0"])
-        with pytest.raises(ValueError, match=f"line 3: non-integer label '{cell}'"):
-            load_embedding_stream(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        self._write(path, ["id,label,v_0,v_1", "0,0,inf,0.0"])
-        with pytest.raises(ValueError, match="line 2"):
-            load_embedding_stream(path)
-
-    def test_zero_vector_rejected(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        self._write(path, ["id,label,v_0,v_1", "0,0,0.0,0.0"])
-        with pytest.raises(ValueError, match="line 2"):
-            load_embedding_stream(path)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "stream.csv"
-        self._write(path, ["0,0,1.0,0.0"])
-        with pytest.raises(ValueError):
-            load_embedding_stream(path)
-
-
 # Cells the csv.writer + repr reference must reproduce byte for byte: signed
 # zero, the smallest subnormal, non-finite values, and round-trip digits.
 _ODD_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 0.1, 1 / 3, -1e300]
@@ -381,14 +299,6 @@ class TestCsvRow:
         assert got.read_bytes() == ref.read_bytes()
         assert got.read_bytes().endswith(b"\r\n")
         assert b"nan,inf,-inf" in got.read_bytes()
-
-    def test_embedding_csv_ids_match_csv_writer(self, tmp_path):
-        ids = ["a,b", 'q"x', "plain"]
-        got, ref = tmp_path / "got.csv", tmp_path / "ref.csv"
-        write_embedding_csv(got, np.eye(3), np.arange(3), ids=ids)
-        header = ["id", "label", "v_0", "v_1", "v_2"]
-        _csv_writer_reference(ref, header, zip(zip(ids, range(3)), np.eye(3)))
-        assert got.read_bytes() == ref.read_bytes()
 
     def test_empty_array_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
