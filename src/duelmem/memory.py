@@ -16,7 +16,7 @@ entries into a memory of k follows a selection-mask scheme over the pool
 
   * rows start selected for memory entries and deselected for the batch;
     live scores start from the cached row sums, and the batch's own rows
-    come from one b x (k+b) cross block q(batch, pool);
+    come from one b x (k+b) cross block of terms t(batch, pool) (below);
   * per batch element: unless the element before it settled (below), pick
     the selected row with the largest live score (lowest index on ties,
     grouped at _TIE_TOL), subtract its masked row from the live scores and
@@ -57,8 +57,8 @@ entries into a memory of k follows a selection-mask scheme over the pool
   * victim block: the first memory victim's row is computed on its own, so
     a push in which every other row settles makes two score products, the
     cross block and that row. The second memory victim's pick computes, in
-    one product, the rows of the c selected memory entries with the largest
-    live scores, the victim among them, where c is the smaller of the rows
+    one product, the rows of the w selected memory entries with the largest
+    live scores, the victim among them, where w is the smaller of the rows
     still to offer (each needs at most one more pick) and the selected memory
     entries. Later memory victims read their row from it; one outside it
     gets its own row, so a push makes at most three score products plus one
@@ -68,6 +68,23 @@ entries into a memory of k follows a selection-mask scheme over the pool
     differ in the last bit of some entries (BLAS gemm against gemv), moving
     the cached sums by a few ulps but no choice: ties are grouped at
     _TIE_TOL, far above that.
+
+Terms. A push adds up pair_terms, t = q - c with the kernel's constant c,
+in place of the scores q: under AffineCosine, c = 1/2 and a block is the one
+product (X/2) Y^T, with no clip or affine pass; under ExponentialTemp, c = 0
+and the terms are the scores. Every live score the push compares (a pick,
+a settle test, a block's maxima and masked sums, a drift probe) is a sum of
+exactly k terms, so it lies c k below the sum of the k scores, the same
+offset at every comparison. The live scores start from the cached sums less
+c k, the self score is MAX_SCORE - c, the drift guard's recompute subtracts
+c k, and the fold at the end adds c k back. The push skips the affine clip
+only when every pool row's squared norm is 1 within _UNIT_TOL, 4e-15: an
+unclipped term of such rows passes its range by at most 3e-15, so a sum
+moves by at most 3e-15 per near-duplicate partner, 1.3e-11 at k = 4096,
+below _DRIFT_TOL and far below _TIE_TOL. Any other pool, such as rows that
+push_batch accepts at 1e-9 from unit, keeps the clip, so the push logs
+verify.NaiveDuel's victims on every accepted input. The rule reads only the
+pool, so a checkpoint load does not change it.
 
 Every score block a push holds, cross, settle or victim block, is thus at
 most b x (k+b); only the drift guard's recompute goes _ROW_BLOCK rows at a
@@ -85,17 +102,17 @@ probes the cache for free: when it differs from the cached value by more
 than _DRIFT_TOL, the live scores are recomputed exactly before the choice is
 made. Settled rows never touch the zero-based array, so they add no rounding.
 
-Appends below capacity extend the cache: held rows gain their sums against
-the appended rows, which get theirs exactly. A memory's policy is fixed when
-it is built. The baseline policies (fifo, random, reservoir) read no scores,
-so their pushes only overwrite slots and mark the cache stale; a DUEL memory
-never goes stale, so its pushes read the cache as it is. Every other reader
-of the cache (scores, snapshot_csv, state_dict, duel_select_by_score) first
+A memory's policy is fixed when it is built. The baseline policies (fifo,
+random, reservoir) read no scores, so their appends and pushes only write
+slots and mark the cache stale. A DUEL memory never goes stale: its appends
+below capacity extend the cache, held rows gaining their sums against the
+appended rows, which get theirs exactly, and its pushes read the cache as it
+is, so DUEL appends never meet a stale cache. Every other reader of the
+cache (scores, snapshot_csv, state_dict, duel_select_by_score) first
 recomputes a stale cache from scratch, _ROW_BLOCK rows at a time.
 mean_distinctiveness over the memory's own entries makes that same recompute
 whatever the cache holds, and keeps it as the cache when the cache is stale,
-so the next reader finds it fresh. A memory goes stale only once it is full,
-and stays full, so appends never meet a stale cache.
+so the next reader finds it fresh.
 
 Eviction-log coordinates: a push returns one PushResult, whose victims
 array holds, per accepted item, the displaced entry's index: for DUEL its
@@ -110,7 +127,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AffineCosine, Kernel, pair_scores
+from .kernels import AffineCosine, Kernel, pair_scores, pair_terms
 # Unused here, but the benchmark's tracer patches memory.self_scores by name.
 from .kernels import self_scores  # noqa: F401
 from .streams import csv_row
@@ -148,6 +165,11 @@ _DRIFT_TOL = 1e-10
 # k x k matrix is ever live. 128 rows of 4096 (4 MB) also lift glibc's mmap
 # threshold above a 64 x 4160 push block; at 64, pushes took twice as long.
 _ROW_BLOCK = 128
+
+# A DUEL push skips the affine kernel's cosine clip when every pool row's
+# squared norm is 1 within this: normalized float64 rows miss 1 by under
+# 7e-16, and unclipped terms of such rows pass their range by at most 3e-15.
+_UNIT_TOL = 4e-15
 
 
 def _tied_argmax(values: np.ndarray) -> int:
@@ -362,16 +384,21 @@ class ActiveMemory:
         )
 
     def _append(self, X: np.ndarray, lab: np.ndarray) -> None:
-        """Fill free slots with X and give every row its sum over the new
-        contents: held rows gain their sums against X, appended rows get
-        theirs exactly. That is O(m n z) for m rows into n, so filling in
-        small batches costs O(n^2 z) in total rather than O(n^3 z)."""
+        """Fill free slots with X. A DUEL memory gives every row its sum
+        over the new contents: held rows gain their sums against X, appended
+        rows get theirs exactly. That is O(m n z) for m rows into n, so
+        filling in small batches costs O(n^2 z) in total rather than
+        O(n^3 z). A baseline memory reads no scores, so it marks the cache
+        stale instead."""
         c0, m = self._count, X.shape[0]
         c1 = c0 + m
         self._emb[c0:c1] = X
         self._labels[c0:c1] = lab
         self._steps[c0:c1] = self._seen + np.arange(m)
         self._count, self._seen = c1, self._seen + m
+        if self._policy != "duel":
+            self._stale = True
+            return
         E = self._emb[:c1]
         self._scores[:c0] += self._row_sums(E[:c0], E[c0:])
         self._scores[c0:c1] = self._row_sums(E[c0:], E)
@@ -400,9 +427,14 @@ class ActiveMemory:
         ids = np.concatenate(
             [self._steps[:k], self._seen + np.arange(b, dtype=np.int64)]
         )
-        # Row i - k of the b x (k+b) cross block is row i of the pool's score
+        # The push adds up pair_terms, q less the kernel's constant c, so
+        # every score it compares is c k below a sum of k scores (see the
+        # module docstring). The terms go unclipped on a unit pool.
+        c = self.kernel.constant
+        clip = np.abs(np.vecdot(pool, pool) - 1.0).max() > _UNIT_TOL
+        # Row i - k of the b x (k+b) cross block is row i of the pool's term
         # matrix, for batch entry i.
-        cross = pair_scores(X, pool, self.kernel)
+        cross = pair_terms(X, pool, self.kernel, clip)
         # Memory entries picked so far, and the victim block (see the module
         # docstring): the rows of the likely memory victims, built at the
         # second, with each entry's position in it.
@@ -417,35 +449,38 @@ class ActiveMemory:
             if j in likely:
                 return victim_block[likely[j]]
             if picked and not likely:
-                # The c selected memory entries with the largest live scores,
-                # j among them; c covers a memory pick for every row still
+                # The w selected memory entries with the largest live scores,
+                # j among them; w covers a memory pick for every row still
                 # to offer. i is the row about to be offered.
-                c = min(k + b - i, k - picked)
+                w = min(k + b - i, k - picked)
                 ranked = live[:k].copy()
                 ranked[j] = np.inf
-                rows = np.argpartition(ranked, k - c)[k - c :]
-                victim_block = pair_scores(pool[rows], pool, self.kernel)
-                likely.update(zip(rows.tolist(), range(c)))
+                rows = np.argpartition(ranked, k - w)[k - w :]
+                victim_block = pair_terms(pool[rows], pool, self.kernel, clip)
+                likely.update(zip(rows.tolist(), range(w)))
                 return victim_block[likely[j]]
-            return pair_scores(pool[j : j + 1], pool, self.kernel)[0]
+            return pair_terms(pool[j : j + 1], pool, self.kernel, clip)[0]
 
         # Deselected rows hold -inf in base, so the live scores need no mask:
         # delta takes whole rows, which is exact on the selected rows, and a
         # row's delta restarts at 0 when it is selected. sel is the selection
         # as 1.0 / 0.0, so a masked row sum is one dot product.
         sel = np.concatenate([np.ones(k), np.zeros(b)])
-        base = np.concatenate([self._scores[:k], np.full(b, -np.inf)])
+        base = np.concatenate([self._scores[:k] - c * k, np.full(b, -np.inf)])
         delta = np.zeros(k + b)  # this call's changes, folded in at the end
         spare = np.empty(k + b)  # delta with the offered row added
         live = base.copy()
-        top = np.maximum.reduce(live)
+        # The index of the first maximum of live, and that maximum.
+        first = int(live.argmax())
+        top = live[first]
         tied = np.empty(k + b, dtype=bool)
         # Rows whose self score is MAX_SCORE within 1e-12 are credited
         # MAX_SCORE and may settle, unless they are the batch's last; any
         # other row is credited its own, so its drift probe passes.
+        own_max = MAX_SCORE - c
         diag = np.diagonal(cross, offset=k)
-        exact = np.abs(diag - MAX_SCORE) <= 1e-12
-        self_credit = np.where(exact, MAX_SCORE, diag).tolist()
+        exact = np.abs(diag - own_max) <= 1e-12
+        self_credit = np.where(exact, own_max, diag).tolist()
         settles = exact.tolist()
         settles[-1] = False
         victims = []
@@ -456,14 +491,16 @@ class ActiveMemory:
         i = k
         while i < k + b:
             if run == 0:
-                # _tied_argmax without its allocations.
-                j = int(np.greater_equal(live, top - _TIE_TOL, out=tied).argmax())
+                # _tied_argmax without its allocations: rows after the first
+                # maximum cannot win a tie.
+                ahead = slice(0, first + 1)
+                j = int(np.greater_equal(live[ahead], top - _TIE_TOL, out=tied[ahead]).argmax())
                 r = row(j)
                 # r @ sel is j's exact row sum, a free probe of the cache.
                 if abs(r @ sel - live[j]) > _DRIFT_TOL:
                     held = np.flatnonzero(sel)
                     base.fill(-np.inf)
-                    base[held] = self._row_sums(pool[held], pool[held])
+                    base[held] = self._row_sums(pool[held], pool[held]) - c * k
                     delta.fill(0.0)
                     j = _tied_argmax(base)
                     r = row(j)
@@ -477,7 +514,8 @@ class ActiveMemory:
                 np.add(delta, t, out=spare)
                 # Row i is still at -inf in base, so top is over the other rows.
                 np.add(base, spare, out=live)
-                top = np.maximum.reduce(live)
+                first = int(live.argmax())
+                top = live[first]
                 own = t @ sel + self_credit[i - k]
                 if settles[i - k] and top < own - _TIE_TOL:
                     victims.append(i)
@@ -507,14 +545,18 @@ class ActiveMemory:
                 # Row i does not settle: it is kept, from its row of the block.
                 np.add(delta, cross[i - k], out=spare)
                 live[:] = block[m]
+                first = int(live.argmax())
             delta, spare = spare, delta
             base[i] = own
             delta[i] = 0.0
             live[i] = own
             sel[i] = 1.0
-            top = max(top, own)
+            if own > top:
+                first, top = i, own
             self._settle_run, run, i = run, 0, i + 1
-        self._compact(sel, pool, labels, ids, live_scores=np.add(base, delta, out=base))
+        scores = np.add(base, delta, out=base)
+        scores += c * k
+        self._compact(sel, pool, labels, ids, live_scores=scores)
         self._seen += b
         return PushResult(victims, ids[k:])
 

@@ -38,7 +38,7 @@ from .information import (
     hml_loss,
     mhml_bound,
 )
-from .kernels import AffineCosine, ExponentialTemp, normalize, pair_scores
+from .kernels import AffineCosine, ExponentialTemp, normalize, pair_scores, pair_terms
 from .memory import POLICIES, ActiveMemory, PushResult
 from .streams import StreamConfig, Dominant, oracle_embedding_stream
 from .trainer import (
@@ -101,7 +101,9 @@ def _balanced_distribution(rng, n_classes, per_class, z, uniform):
 
 def check_kernel_invariants(quick: bool) -> tuple[bool, str]:
     """pair_scores on a pair's 2-row stack: q in [0, 1], symmetric, and 1 on
-    the diagonal; information measures non-negative."""
+    the diagonal; pair_terms, which DUEL pushes add up: clipped, q less the
+    kernel's constant c, and unclipped, within 3e-15 of [-c, 1 - c];
+    information measures non-negative."""
     rng = np.random.default_rng(11)
     trials = 50 if quick else 300
     for _ in range(trials):
@@ -116,6 +118,14 @@ def check_kernel_invariants(quick: bool) -> tuple[bool, str]:
             return False, "pair_scores not symmetric"
         if np.max(np.abs(np.diagonal(Q) - 1.0)) > 1e-9:
             return False, "q(a, a) != 1"
+        # A copy, so that no product runs on one buffer twice as Q's may.
+        c = k.constant
+        T = pair_terms(pair, pair.copy(), k, True)
+        if np.max(np.abs(T + c - Q)) > 1e-15:
+            return False, f"pair_terms + {c} != pair_scores: {(T + c - Q).ravel().tolist()}"
+        T = pair_terms(pair, pair.copy(), k, False)
+        if not np.all((T >= -c - 3e-15) & (T <= 1.0 - c + 3e-15)):
+            return False, f"unclipped terms out of range: {T.ravel().tolist()}"
         ref = FiniteDistribution(_random_unit(rng, 6, z), rng.integers(0, 3, size=6))
         i_d = distinctiveness_information(a, ref, k)
         if i_d < -1e-12:
@@ -304,24 +314,25 @@ def check_selection_equivalence(quick: bool) -> tuple[bool, str]:
 
 @contextlib.contextmanager
 def _score_products():
-    """Record the row count of every score product the memory module makes.
+    """Record the row count of every score product a DUEL push makes, each
+    a block of memory.pair_terms.
 
     A DUEL push makes its cross block first, then one row per memory victim
     until its second, which builds the victim block; each product after the
     block is the row of a victim outside it.
     """
     rows: list[int] = []
-    inner = memory_module.pair_scores
+    inner = memory_module.pair_terms
 
     def counted(X, *args):
         rows.append(len(X))
         return inner(X, *args)
 
-    memory_module.pair_scores = counted
+    memory_module.pair_terms = counted
     try:
         yield rows
     finally:
-        memory_module.pair_scores = inner
+        memory_module.pair_terms = inner
 
 
 def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:

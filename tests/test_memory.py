@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 import duelmem.memory as memory_module
+import duelmem.verify as verify_module
 from duelmem.kernels import (
     AffineCosine,
     ExponentialTemp,
     normalize,
     pair_scores,
+    pair_terms,
 )
 from duelmem.memory import POLICIES, ActiveMemory, guarded_update
 from duelmem.verify import (
@@ -21,6 +23,7 @@ from duelmem.verify import (
     affine_duel_replay,
     check_cache_coherence,
     check_incremental_matches_naive,
+    check_kernel_invariants,
     check_label_blindness,
     check_selection_equivalence,
     naive_select,
@@ -34,15 +37,20 @@ def _unit(rng, n, z):
 
 
 def _count_entries(monkeypatch) -> list[int]:
-    """Record the size of every score block the memory module computes."""
+    """Record the size of every score or term block the memory module
+    computes."""
     entries = []
 
-    def counted(*args):
-        q = pair_scores(*args)
-        entries.append(q.size)
-        return q
+    def counter(inner):
+        def counted(*args):
+            q = inner(*args)
+            entries.append(q.size)
+            return q
 
-    monkeypatch.setattr(memory_module, "pair_scores", counted)
+        return counted
+
+    monkeypatch.setattr(memory_module, "pair_scores", counter(pair_scores))
+    monkeypatch.setattr(memory_module, "pair_terms", counter(pair_terms))
     return entries
 
 
@@ -443,11 +451,11 @@ class TestDistinctivenessRead:
         )
         entries = _count_entries(monkeypatch)
         result = run_experiment(parse_config(raw), 0, str(tmp_path))
-        # Filling to 8 entries costs 8^2 scores; every later recompute is the
-        # whole memory, once per eval row. The snapshots at step 4 and 8 and
-        # the checkpoint find the cache fresh.
+        # Filling scores nothing; every recompute is the whole memory, once
+        # per eval row. The snapshots at step 4 and 8 and the checkpoint find
+        # the cache fresh.
         assert len(result.rows) == 4
-        assert sum(entries) == 8 * 8 * (1 + len(result.rows))
+        assert sum(entries) == 8 * 8 * len(result.rows)
 
 
 def _hub(z=6, theta=np.pi / 6):
@@ -697,13 +705,13 @@ class TestVictimBlock:
         fast = ActiveMemory.from_arrays(emb)
         slow = NaiveDuel(emb)
         entries = _count_entries(monkeypatch)
-        counted, inputs = memory_module.pair_scores, []
+        counted, inputs = memory_module.pair_terms, []
 
         def recorded(X, *args):
             inputs.append(X.copy())
             return counted(X, *args)
 
-        monkeypatch.setattr(memory_module, "pair_scores", recorded)
+        monkeypatch.setattr(memory_module, "pair_terms", recorded)
         events = fast.push_batch(batch)
         monkeypatch.undo()
         assert events == slow.push_batch(batch)
@@ -779,6 +787,47 @@ class TestDriftGuard:
 
     def test_guard_constant_sits_far_below_tie_tolerance(self):
         assert memory_module._DRIFT_TOL <= memory_module._TIE_TOL / 10
+
+
+class TestUnitPoolClip:
+    """A DUEL push skips the affine clip only when every pool row is unit to
+    within 4e-15; near-unit rows, which push_batch accepts, keep it."""
+
+    def _near_unit(self, rng, n, z, dup=None, copies=0):
+        """n rows of norm 1 + u * 9e-10, u uniform in [-1, 1], `copies` of
+        them exact copies of dup, at random places."""
+        X = _unit(rng, n, z) * (1.0 + 9e-10 * rng.uniform(-1.0, 1.0, size=(n, 1)))
+        X[:copies] = dup
+        return rng.permutation(X)
+
+    def test_near_unit_duplicates_replay_naive(self):
+        k, b, z = 48, 16, 4
+        for trial in range(20):
+            rng = np.random.default_rng([50, trial])
+            dup = self._near_unit(rng, 1, z)[0]
+            emb = self._near_unit(rng, k, z, dup, 12)
+            fast, slow = ActiveMemory.from_arrays(emb), NaiveDuel(emb)
+            for p in range(3):
+                batch = self._near_unit(rng, b, z, dup, 6)
+                assert fast.push_batch(batch) == slow.push_batch(batch), (trial, p)
+                assert np.array_equal(fast.embeddings, slow.embeddings), (trial, p)
+
+    @pytest.mark.parametrize("loose", [False, True])
+    def test_clip_only_for_a_pool_row_off_unit(self, loose, monkeypatch):
+        rng = np.random.default_rng(51)
+        emb = _unit(rng, 32, 5)
+        if loose:
+            emb[7] *= 1.0 + 1e-10
+        mem = ActiveMemory.from_arrays(emb)
+        clips, inner = [], memory_module.pair_terms
+
+        def spied(X, Y, kernel, clip):
+            clips.append(clip)
+            return inner(X, Y, kernel, clip)
+
+        monkeypatch.setattr(memory_module, "pair_terms", spied)
+        mem.push_batch(_unit(rng, 8, 5))
+        assert clips and all(clip == loose for clip in clips)
 
 
 class TestBaselinePolicies:
@@ -1148,6 +1197,18 @@ class TestVerifyNegativeControl:
         ok, detail = check_label_blindness(quick=True)
         assert not ok
         assert detail == "evictions changed under label permutation"
+
+    def test_off_affine_constant_is_detected(self, monkeypatch):
+        # Affine terms 1e-12 below q - 1/2: a push would only shift its sums,
+        # so the kernel check compares the terms with pair_scores.
+        def off_constant(X, Y, kernel, clip):
+            t = pair_terms(X, Y, kernel, clip)
+            return t - 1e-12 if isinstance(kernel, AffineCosine) else t
+
+        monkeypatch.setattr(verify_module, "pair_terms", off_constant)
+        ok, detail = check_kernel_invariants(quick=True)
+        assert not ok
+        assert detail.startswith("pair_terms + 0.5 != pair_scores")
 
     def test_checks_pass_with_correct_constant(self):
         assert check_cache_coherence(quick=True)[0]
