@@ -86,21 +86,53 @@ push_batch accepts at 1e-9 from unit, keeps the clip, so the push logs
 verify.NaiveDuel's victims on every accepted input. The rule reads only the
 pool, so a checkpoint load does not change it.
 
+Candidates. Let T be the (b+1)-th largest cached sum when a push of b rows
+starts. Terms span 1, and a push changes each live score by at most 2b
+terms: at most b rows leave and at most b offered rows stay. So the gap
+between two held entries' live scores shrinks by at most 2b over the push.
+At most b entries leave, so at every pick one of the b+1 that started at or
+above T is still selected. A held entry whose sum started more than 2b +
+_REACH_MARGIN below T thus stays more than _REACH_MARGIN (1e-6, far above
+_TIE_TOL) below that one: it is never picked, never tied with the maximum,
+and never the maximum a settle test reads. Such far entries stay selected
+and out of the loop. The loop, its settle blocks, carried start, victim
+block and drift guard run over the candidates, the other held entries and
+the batch, kept in pool order, so the lowest-index tie rule and the logged
+pool indices are unchanged. The far entries enter in three places:
+  * each offered row's own sum and each victim's drift probe gain the row's
+    terms against them, x.(sum of far rows)/2;
+  * the drift guard's recompute sums each held candidate over every
+    selected row, far ones included, and recomputes the far entries' sums;
+  * at the end each far entry's sum takes one fold, e.(sum of rows selected
+    since its sum was set, less rows deselected)/2, which without a
+    recompute is the kept offered rows less the memory victims.
+The closed forms are kernels.term_sums, O(z) per row against a whole set,
+and they need terms linear in y: far entries exist only under AffineCosine
+on a pool the push leaves unclipped. Under ExponentialTemp, on a clipped
+pool, or when no sum lies that far below T, every held entry is a
+candidate, and the push computes the bytes described above. On filter_duel
+(4096 entries, batches of 64) a push runs over about 1800 held entries.
+
 Every score block a push holds, cross, settle or victim block, is thus at
-most b x (k+b); only the drift guard's recompute goes _ROW_BLOCK rows at a
-time. A call costs O(b (k+b) z) instead of O((k+b)^2 z), and the Python loop
-does its victim bookkeeping per kept row only. Elements inserted earlier in
-the same call are eviction candidates for later elements. verify.NaiveDuel
-replays the same pool from the full pool matrix per replacement and must log
-the same evictions.
+most b x (k+b), over its candidates; only the drift guard's recompute goes
+_ROW_BLOCK rows at a time. A call costs O(b (k+b) z) instead of
+O((k+b)^2 z), and the Python loop does its victim bookkeeping per kept row
+only. Elements inserted earlier in the same call can be evicted for later
+elements. verify.NaiveDuel replays the same pool from the full pool matrix
+per replacement and must log the same evictions.
 
 Drift. The per-call changes to the live scores accumulate in a zero-based
 array that is folded into the cached sums once per call, so each cached sum
 takes one rounding at its own magnitude per call rather than two per
-replacement. The victim's row is computed exactly anyway, so its masked sum
-probes the cache for free: when it differs from the cached value by more
-than _DRIFT_TOL, the live scores are recomputed exactly before the choice is
-made. Settled rows never touch the zero-based array, so they add no rounding.
+replacement; a far entry's fold rounds once per call too. That rounding, at
+magnitude k/2, still accumulates: at k = 4096, batches of 64 and a dominant
+clustered stream with a tenth of rows repeated, the largest |cache -
+recompute| grew about as the square root of the pushes, 2.1e-11 after 3k
+pushes and 1.5e-10 after 150k. The victim's row is computed exactly anyway,
+so its masked sum probes the cache for free: when it differs from the
+cached value by more than _DRIFT_TOL, the live scores are recomputed
+exactly before the choice is made. Settled rows never touch the zero-based
+array, so they add no rounding.
 
 A memory's policy is fixed when it is built. The baseline policies (fifo,
 random, reservoir) read no scores, so their appends and pushes only write
@@ -127,7 +159,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import AffineCosine, Kernel, pair_scores, pair_terms
+from .kernels import AffineCosine, Kernel, pair_scores, pair_terms, term_sums
 # Unused here, but the benchmark's tracer patches memory.self_scores by name.
 from .kernels import self_scores  # noqa: F401
 from .streams import csv_row
@@ -158,13 +190,20 @@ _TIE_TOL = 1e-9
 
 # A DUEL victim whose cached row sum differs from its exact row sum by more
 # than this triggers an exact recompute of the live scores. Summation noise
-# stays near 1e-11 over thousands of calls; real faults are far larger.
+# grows about as the square root of the pushes: at k = 4096, 2.1e-11 after
+# 3k pushes and 1.5e-10 after 150k. Real faults are far larger.
 _DRIFT_TOL = 1e-10
 
 # Rows per block when scores are summed over the whole memory, so that no
 # k x k matrix is ever live. 128 rows of 4096 (4 MB) also lift glibc's mmap
 # threshold above a 64 x 4160 push block; at 64, pushes took twice as long.
 _ROW_BLOCK = 128
+
+# A held entry whose cached sum is more than 2b plus this below the (b+1)-th
+# largest cannot be picked in a push of b rows (see the module docstring's
+# "Candidates"). It covers the unclipped terms' 3e-15 excess over their
+# range, summation noise and the 1e-9 a loaded cache may be off, with room.
+_REACH_MARGIN = 1e-6
 
 # A DUEL push skips the affine kernel's cosine clip when every pool row's
 # squared norm is 1 within this: normalized float64 rows miss 1 by under
@@ -421,20 +460,38 @@ class ActiveMemory:
             np.take(pooled, keep, axis=0, out=held[:n], mode="clip")
 
     def _push_duel(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
-        k, b = self._count, X.shape[0]
-        pool = np.vstack([self._emb[:k], X])
-        labels = np.concatenate([self._labels[:k], lab])
+        n_held, b = self._count, X.shape[0]
+        pool = np.vstack([self._emb[:n_held], X])
+        labels = np.concatenate([self._labels[:n_held], lab])
         ids = np.concatenate(
-            [self._steps[:k], self._seen + np.arange(b, dtype=np.int64)]
+            [self._steps[:n_held], self._seen + np.arange(b, dtype=np.int64)]
         )
         # The push adds up pair_terms, q less the kernel's constant c, so
         # every score it compares is c k below a sum of k scores (see the
         # module docstring). The terms go unclipped on a unit pool.
         c = self.kernel.constant
         clip = np.abs(np.vecdot(pool, pool) - 1.0).max() > _UNIT_TOL
-        # Row i - k of the b x (k+b) cross block is row i of the pool's term
-        # matrix, for batch entry i.
-        cross = pair_terms(X, pool, self.kernel, clip)
+        # Candidates (see the module docstring): the loop runs over cand, the
+        # held entries that can still be picked and then the batch, in pool
+        # order, at the pool indices `at`. The far entries stay selected, and
+        # their terms enter every candidate's sum through `fixed`.
+        cached = self._scores[:n_held]
+        far = None
+        if self.kernel.linear and not clip and n_held > b + 1:
+            reach = np.partition(cached, n_held - b - 1)[n_held - b - 1]
+            far = cached < reach - 2 * b - _REACH_MARGIN
+        if far is None or not far.any():
+            at, cand, near_sums, far_rows = None, pool, cached, pool[:0]
+            fixed = np.zeros(n_held + b)
+        else:
+            at = np.concatenate([np.flatnonzero(~far), np.arange(n_held, n_held + b)])
+            cand, near_sums = pool[at], cached[~far]
+            far_rows, far_sums = pool[:n_held][far], cached[far]
+            fixed = term_sums(cand, far_rows, self.kernel)
+        k = cand.shape[0] - b
+        # Row i - k of the b x (k+b) cross block is row i of the candidates'
+        # term matrix, for batch entry i.
+        cross = pair_terms(X, cand, self.kernel, clip)
         # Memory entries picked so far, and the victim block (see the module
         # docstring): the rows of the likely memory victims, built at the
         # second, with each entry's position in it.
@@ -456,17 +513,19 @@ class ActiveMemory:
                 ranked = live[:k].copy()
                 ranked[j] = np.inf
                 rows = np.argpartition(ranked, k - w)[k - w :]
-                victim_block = pair_terms(pool[rows], pool, self.kernel, clip)
+                victim_block = pair_terms(cand[rows], cand, self.kernel, clip)
                 likely.update(zip(rows.tolist(), range(w)))
                 return victim_block[likely[j]]
-            return pair_terms(pool[j : j + 1], pool, self.kernel, clip)[0]
+            return pair_terms(cand[j : j + 1], cand, self.kernel, clip)[0]
 
         # Deselected rows hold -inf in base, so the live scores need no mask:
         # delta takes whole rows, which is exact on the selected rows, and a
         # row's delta restarts at 0 when it is selected. sel is the selection
-        # as 1.0 / 0.0, so a masked row sum is one dot product.
+        # as 1.0 / 0.0, so a masked row sum is one dot product; ref is the
+        # selection the far entries' sums are over.
         sel = np.concatenate([np.ones(k), np.zeros(b)])
-        base = np.concatenate([self._scores[:k] - c * k, np.full(b, -np.inf)])
+        ref = sel.copy()
+        base = np.concatenate([near_sums - c * n_held, np.full(b, -np.inf)])
         delta = np.zeros(k + b)  # this call's changes, folded in at the end
         spare = np.empty(k + b)  # delta with the offered row added
         live = base.copy()
@@ -476,11 +535,12 @@ class ActiveMemory:
         tied = np.empty(k + b, dtype=bool)
         # Rows whose self score is MAX_SCORE within 1e-12 are credited
         # MAX_SCORE and may settle, unless they are the batch's last; any
-        # other row is credited its own, so its drift probe passes.
+        # other row is credited its own, so its drift probe passes. Each is
+        # also credited its terms against the far entries.
         own_max = MAX_SCORE - c
         diag = np.diagonal(cross, offset=k)
         exact = np.abs(diag - own_max) <= 1e-12
-        self_credit = np.where(exact, own_max, diag).tolist()
+        self_credit = (np.where(exact, own_max, diag) + fixed[k:]).tolist()
         settles = exact.tolist()
         settles[-1] = False
         victims = []
@@ -496,11 +556,15 @@ class ActiveMemory:
                 ahead = slice(0, first + 1)
                 j = int(np.greater_equal(live[ahead], top - _TIE_TOL, out=tied[ahead]).argmax())
                 r = row(j)
-                # r @ sel is j's exact row sum, a free probe of the cache.
-                if abs(r @ sel - live[j]) > _DRIFT_TOL:
+                # r @ sel + fixed[j] is j's exact row sum, a free probe of
+                # the cache.
+                if abs(r @ sel + fixed[j] - live[j]) > _DRIFT_TOL:
                     held = np.flatnonzero(sel)
+                    selected = np.vstack([cand[held], far_rows])
+                    sums = self._row_sums(selected, selected)
                     base.fill(-np.inf)
-                    base[held] = self._row_sums(pool[held], pool[held]) - c * k
+                    base[held] = sums[: held.size] - c * n_held
+                    far_sums, ref = sums[held.size :], sel.copy()
                     delta.fill(0.0)
                     j = _tied_argmax(base)
                     r = row(j)
@@ -555,10 +619,20 @@ class ActiveMemory:
                 first, top = i, own
             self._settle_run, run, i = run, 0, i + 1
         scores = np.add(base, delta, out=base)
-        scores += c * k
+        scores += c * n_held
+        if at is not None:
+            # Back to pool order. The far entries stayed selected; each sum
+            # gains the rows selected since ref and loses those deselected.
+            folded = far_sums + term_sums(far_rows, cand, self.kernel, sel - ref)
+            near_sel, near_scores = sel, scores
+            sel = np.concatenate([far.astype(np.float64), np.zeros(b)])
+            scores = np.empty(n_held + b)
+            sel[at], scores[at] = near_sel, near_scores
+            scores[:n_held][far] = folded
+            victims = at[victims]
         self._compact(sel, pool, labels, ids, live_scores=scores)
         self._seen += b
-        return PushResult(victims, ids[k:])
+        return PushResult(victims, ids[n_held:])
 
     def _push_fifo(self, X: np.ndarray, lab: np.ndarray) -> PushResult:
         # Each replacement takes the oldest slot and makes it the newest, so

@@ -261,13 +261,19 @@ class NaiveDuel:
         return PushResult(np.array(victims), ids[k:])
 
 
-def affine_duel_replay(E0, batches) -> tuple[list[int], np.ndarray]:
+def affine_duel_replay(E0, batches) -> tuple[list[int], np.ndarray, np.ndarray]:
     """DUEL victims under AffineCosine, as pool indices, and the rows held
-    after the last push, from the closed-form row sums (n + e.S)/2 over the
-    n held rows with sum S: O((k+b) z) per replacement, not O((k+b)^2 z)."""
+    after the last push with their insert ids (E0's rows are 0, 1, ... and
+    offered rows continue from there), from the closed-form row sums
+    (n + e.S)/2 over the n held rows with sum S: O((k+b) z) per
+    replacement, not O((k+b)^2 z)."""
     held, victims = E0, []
+    ids = np.arange(E0.shape[0])
+    seen = ids.size
     for batch in batches:
         k, pool = held.shape[0], np.vstack([held, batch])
+        ids = np.concatenate([ids, seen + np.arange(batch.shape[0])])
+        seen += batch.shape[0]
         sel = np.arange(pool.shape[0]) < k
         total = held.sum(axis=0)
         for i in range(k, pool.shape[0]):
@@ -275,8 +281,8 @@ def affine_duel_replay(E0, batches) -> tuple[list[int], np.ndarray]:
             victims.append(j)
             sel[j], sel[i] = False, True
             total += pool[i] - pool[j]
-        held = pool[sel]
-    return victims, held
+        held, ids = pool[sel], ids[sel]
+    return victims, held, ids
 
 
 def naive_select(mem: ActiveMemory) -> int:
@@ -314,19 +320,20 @@ def check_selection_equivalence(quick: bool) -> tuple[bool, str]:
 
 @contextlib.contextmanager
 def _score_products():
-    """Record the row count of every score product a DUEL push makes, each
-    a block of memory.pair_terms.
+    """Record the shape of every score product a DUEL push makes, each a
+    block of memory.pair_terms, as (rows, columns).
 
     A DUEL push makes its cross block first, then one row per memory victim
     until its second, which builds the victim block; each product after the
-    block is the row of a victim outside it.
+    block is the row of a victim outside it. Every block has a column per
+    candidate, held or offered (see the memory module's "Candidates").
     """
-    rows: list[int] = []
+    rows: list[tuple[int, int]] = []
     inner = memory_module.pair_terms
 
-    def counted(X, *args):
-        rows.append(len(X))
-        return inner(X, *args)
+    def counted(X, Y, *args):
+        rows.append((len(X), len(Y)))
+        return inner(X, Y, *args)
 
     memory_module.pair_terms = counted
     try:
@@ -337,8 +344,11 @@ def _score_products():
 
 def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     """Batched incremental updates replay NaiveDuel exactly, on both the
-    victim block's rows and rows computed outside it; in full mode also under
-    the exp kernel in a memory of 1024."""
+    victim block's rows and rows computed outside it, and the affine closed
+    form in a memory of 4096, whose pushes run over candidate sets, also
+    from a loaded state whose sums are off by up to 5e-10, where the drift
+    guard must recompute; in full mode also under the exp kernel in a
+    memory of 1024."""
     rng = np.random.default_rng(16)
     trials = 20 if quick else 200
     blocks = outside = 0
@@ -349,7 +359,7 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
             events = fast.push_batch(batch, labels)
         # A block of one row, for a second victim picked for the batch's
         # last row, has no later victims and goes uncounted.
-        built = [n > 1 for n in products[1:]]
+        built = [n > 1 for n, _ in products[1:]]
         if any(built):
             blocks += 1
             outside += len(built) - 1 - built.index(True)
@@ -442,19 +452,73 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
         return False, f"{blocks} pushes built a victim block, {outside} victims read a row outside one"
     # The filter_duel shape against the affine closed form: batches of 64 into
     # 4096 entries from a dominant-cluster stream, a tenth of rows repeated.
-    k, b, z, wide = 4096, 64, 16, 4 if quick else 32
+    # A push runs over the held entries within 2b of the (b+1)-th largest
+    # cached sum, and the batch: `near` holds each such push's held count.
+    k, b, z, wide, loaded_pushes = 4096, 64, 16, 4 if quick else 32, 4
     classes = rng.choice(6, size=k + wide * b, p=Dominant(0.75).probs(6))
     X = normalize(_random_unit(rng, 6, z)[classes] + 0.35 * rng.normal(size=(classes.size, z)))
     for i in np.flatnonzero(rng.random(classes.size - 1) < 0.1) + 1:
         X[i] = X[rng.integers(i)]
     fast, batches = ActiveMemory.from_arrays(X[:k], policy="duel"), np.split(X[k:], wide)
-    victims = [v for batch in batches for v in fast.push_batch(batch).victims.tolist()]
-    expected, held = affine_duel_replay(X[:k], batches)
-    drift = np.max(np.abs(fast.scores - fast.recomputed_scores()))
-    if victims != expected or not np.array_equal(fast.embeddings, held) or drift > 1e-9:
-        return False, f"memory of {k} diverges from the affine replay (drift {drift:.1e})"
+    start = fast.state_dict()
+    near: list[int] = []
+
+    def push_all(mem, batches) -> list[int]:
+        victims = []
+        for batch in batches:
+            with _score_products() as products:
+                victims += mem.push_batch(batch).victims.tolist()
+            if products[0][1] < k + b:
+                near.append(products[0][1] - b)
+        return victims
+
+    def diverges(mem, victims, batches) -> str | None:
+        expected, held, ids = affine_duel_replay(X[:k], batches)
+        drift = np.max(np.abs(mem.scores - mem.recomputed_scores()))
+        if victims != expected or not np.array_equal(mem.embeddings, held):
+            return f"memory of {k} diverges from the affine replay"
+        if not np.array_equal(mem.insert_steps, ids):
+            return f"memory of {k} keeps other insert ids than the affine replay"
+        if drift > 1e-9:
+            return f"memory of {k} drifted by {drift:.1e}"
+        return None
+
+    fault = diverges(fast, push_all(fast, batches), batches)
+    if fault:
+        return False, fault
+    # The same start loaded with its cached sums off by up to 5e-10, which
+    # load_state_dict accepts: the drift guard must recompute, and the
+    # pushes must still replay the closed form.
+    start["scores"][:k] += rng.uniform(-5e-10, 5e-10, size=k)
+    loaded = ActiveMemory(k, z, policy="duel")
+    loaded.load_state_dict(start)
+    recomputes = 0
+    row_sums = loaded._row_sums
+
+    def counted_row_sums(*args):
+        nonlocal recomputes
+        recomputes += 1
+        return row_sums(*args)
+
+    loaded._row_sums = counted_row_sums
+    victims = push_all(loaded, batches[:loaded_pushes])
+    del loaded._row_sums  # the pushes' recomputes only
+    fault = diverges(loaded, victims, batches[:loaded_pushes])
+    if fault:
+        return False, f"{fault}, loaded with sums off by 5e-10"
+    if recomputes == 0:
+        return False, (
+            f"the drift guard never recomputed in {loaded_pushes} pushes from sums off by 5e-10"
+        )
+    if not near:
+        return False, f"no push into {k} ran over a candidate set"
+    wide += loaded_pushes
     pushes = 2 * trials + (1 if quick else 3) + 3 + wide
-    detail = f"{pushes} batched updates ({wide} into {k}), both kernels, {cluster}"
+    detail = (
+        f"{pushes} batched updates ({wide} into {k}, {len(near)} of them over a candidate"
+        f" set of median {int(np.median(near))} held entries; {loaded_pushes} from a loaded"
+        f" state, with {recomputes} drift-guard recompute(s)), both kernels, {cluster}"
+    )
     if not quick:
         # The exp kernel at scale: batches of 64 into 1024 entries from a
         # dominant-cluster stream, replayed against NaiveDuel at two tau.

@@ -13,7 +13,9 @@ from duelmem.kernels import (
     ExponentialTemp,
     normalize,
     pair_scores,
+    pair_terms,
     self_scores,
+    term_sums,
 )
 from duelmem.verify import ORACLE_KERNEL
 
@@ -139,6 +141,18 @@ class TestPairScores:
         ok, detail = verify.check_kernel_invariants(quick=True)
         assert not ok
         assert detail.startswith("q out of range")
+
+    def test_term_sums_add_up_the_unclipped_affine_terms(self):
+        # A DUEL push credits its rows their terms against the entries it
+        # leaves out of its loop from one sum of those entries.
+        rng = np.random.default_rng(3)
+        X, Y = _unit(rng, 7, 5), _unit(rng, 40, 5)
+        w = rng.choice([-1.0, 0.0, 1.0], size=40)
+        T = pair_terms(X, Y, AffineCosine(), False)
+        assert np.allclose(term_sums(X, Y, AffineCosine()), T.sum(axis=1), rtol=0, atol=1e-13)
+        assert np.allclose(term_sums(X, Y, AffineCosine(), w), T @ w, rtol=0, atol=1e-13)
+        with pytest.raises(ValueError, match="linear kernel"):
+            term_sums(X, Y, ExponentialTemp(tau=0.5))
 
     def test_label_oracle_pairwise(self):
         # ORACLE_KERNEL on one-hot class embeddings is the label-match

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duelmem.memory as memory_module
 import duelmem.verify as verify_module
@@ -295,9 +297,10 @@ class TestLongHorizon:
             victims += mem.push_batch(batch).victims.tolist()
             if p % 1000 == 999:
                 assert _drift(mem) <= 1e-9, f"push {p}"
-        expected, held = affine_duel_replay(X[:k], batches)
+        expected, held, ids = affine_duel_replay(X[:k], batches)
         assert victims == expected
         assert np.array_equal(mem.embeddings, held)
+        assert np.array_equal(mem.insert_steps, ids)
 
     @pytest.mark.parametrize("policy", ["fifo", "random", "reservoir"])
     def test_baselines_stay_coherent_over_1k_pushes(self, policy):
@@ -769,6 +772,12 @@ class TestDriftGuard:
         naive = NaiveDuel(fast.embeddings, fast.labels).push_batch(batch)
         second = [v for v in naive.victims.tolist() if v < k][1]
         fast._scores[second] += 5e-10
+        # The push runs over the held entries within 2b (and a margin) of the
+        # (b+1)-th largest cached sum, and the batch: 29 of the 32 here.
+        sums = fast.scores
+        reach = np.sort(sums)[-(b + 1)] - 2 * b - memory_module._REACH_MARGIN
+        near = k - int(np.count_nonzero(sums < reach))
+        assert near == k - 3
         entries = _count_entries(monkeypatch)
         row_sums = ActiveMemory._row_sums
 
@@ -779,7 +788,7 @@ class TestDriftGuard:
         monkeypatch.setattr(ActiveMemory, "_row_sums", guarded)
         events = fast.push_batch(batch)
         monkeypatch.undo()
-        assert entries[:4] == [b * (k + b), k + b, (b - 1) * (k + b), "recompute"]
+        assert entries[:4] == [b * (near + b), near + b, (b - 1) * (near + b), "recompute"]
         assert entries.count("recompute") == 1
         assert events == naive == slow.push_batch(batch)
         assert np.array_equal(fast.embeddings, slow.embeddings)
@@ -787,6 +796,116 @@ class TestDriftGuard:
 
     def test_guard_constant_sits_far_below_tie_tolerance(self):
         assert memory_module._DRIFT_TOL <= memory_module._TIE_TOL / 10
+
+
+def _push_all(mem, batches):
+    """Push batches into mem; return the victims and, per push, how many held
+    entries it ran over: its cross block's columns less the batch."""
+    victims, near = [], []
+    for batch in batches:
+        with verify_module._score_products() as products:
+            victims += mem.push_batch(batch).victims.tolist()
+        near.append(products[0][1] - len(batch))
+    return victims, near
+
+
+def _plant(emb, p, b, shift, offset):
+    """Turn emb[p] along a half circle from -S to S, S the sum of the other
+    rows, until its affine row sum lies `offset` above T - 2b + shift, with
+    T the (b+1)-th largest row sum."""
+    n, u = emb.shape[0], normalize(np.delete(emb, p, axis=0).sum(axis=0))
+    w = normalize(np.eye(emb.shape[1])[np.argmin(np.abs(u))] - u * u[np.argmin(np.abs(u))])
+
+    def gap(theta):
+        emb[p] = normalize(-np.cos(theta) * u + np.sin(theta) * w)
+        sums = (n + emb @ emb.sum(axis=0)) / 2.0
+        return sums[p] - (np.sort(sums)[-(b + 1)] - 2 * b + shift) - offset
+
+    lo, hi = 0.0, np.pi
+    assert gap(lo) < 0.0 < gap(hi)
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if gap(mid) < 0.0 else (lo, mid)
+    gap(hi)
+
+
+class TestCandidates:
+    """A push runs over the held entries whose cached sums lie within 2b
+    (and a rounding margin) of the (b+1)-th largest, and the batch; the
+    other held entries enter through their closed-form term sums."""
+
+    K, B = 1024, 64
+
+    def _stream(self):
+        rng = np.random.default_rng(1)
+        X, labels = _clustered(rng, self.K + 4 * self.B, 16)
+        batches = [X[self.K + p * self.B : self.K + (p + 1) * self.B] for p in range(4)]
+        return X[: self.K], labels[: self.K], batches
+
+    def test_far_entries_replay_the_closed_form(self):
+        emb, labels, batches = self._stream()
+        mem = ActiveMemory.from_arrays(emb, labels)
+        victims, near = _push_all(mem, batches)
+        assert all(n < self.K for n in near), near
+        expected, held, ids = affine_duel_replay(emb, batches)
+        assert victims == expected
+        assert np.array_equal(mem.embeddings, held)
+        assert np.array_equal(mem.insert_steps, ids)
+        assert _drift(mem) <= 1e-11
+
+    def test_candidates_cut_to_the_b_plus_one_largest_diverge(self, monkeypatch):
+        # A margin of -2b leaves only the sums at or above the (b+1)-th
+        # largest: one of them stays selected, but an entry below can climb
+        # past it as rows come and go.
+        monkeypatch.setattr(memory_module, "_REACH_MARGIN", -2.0 * self.B)
+        emb, labels, batches = self._stream()
+        mem = ActiveMemory.from_arrays(emb, labels)
+        victims, near = _push_all(mem, batches)
+        assert near[0] == self.B + 1
+        assert victims != affine_duel_replay(emb, batches)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(2, 600),
+        b=st.integers(1, 64),
+        spread=st.sampled_from([0.1, 0.35, 0.7]),
+        plant=st.sampled_from([None, 0.0, -memory_module._REACH_MARGIN]),
+        offset=st.floats(-0.9e-9, 0.9e-9),
+    )
+    def test_pushes_replay_naive(self, seed, k, b, spread, plant, offset):
+        # Clustered unit rows with exact copies in the memory, in the batch
+        # and across the two; `plant` puts one held sum within 1e-9 of
+        # T - 2b, or of T - 2b less the margin, where candidates end.
+        rng = np.random.default_rng(seed)
+        z = 8
+        if plant is not None:
+            k, spread = max(k, 6 * b + 80), 0.35
+        centres = _unit(rng, 4, z)
+        labels = rng.choice(4, size=k + 2 * b, p=[0.7, 0.1, 0.1, 0.1])
+        X = normalize(centres[labels] + spread * rng.normal(size=(k + 2 * b, z)))
+        emb, batches = X[:k], [X[k : k + b], X[k + b :]]
+        for _ in range(k // 10):
+            emb[rng.integers(k)] = emb[rng.integers(k)]
+        for batch in batches:
+            batch[rng.integers(b)] = emb[rng.integers(k)]
+            batch[rng.integers(b)] = batch[rng.integers(b)]
+        if plant is not None:
+            p = int(rng.integers(k))
+            _plant(emb, p, b, plant, offset)
+        fast = ActiveMemory.from_arrays(emb, labels[:k])
+        slow = NaiveDuel(emb, labels[:k])
+        if plant is not None:
+            sums = fast.scores
+            bar = np.sort(sums)[-(b + 1)] - 2 * b + plant
+            assert abs(sums[p] - bar) <= 1e-9
+        for p, batch in enumerate(batches):
+            lab = labels[k + p * b : k + (p + 1) * b]
+            assert fast.push_batch(batch, lab) == slow.push_batch(batch, lab), p
+            assert np.array_equal(fast.embeddings, slow.embeddings), p
+            assert np.array_equal(fast.labels, slow.labels), p
+            assert np.array_equal(fast.insert_steps, slow.insert_steps), p
+            assert _drift(fast) <= 1e-9, p
 
 
 class TestUnitPoolClip:
@@ -1209,6 +1328,14 @@ class TestVerifyNegativeControl:
         ok, detail = check_kernel_invariants(quick=True)
         assert not ok
         assert detail.startswith("pair_terms + 0.5 != pair_scores")
+
+    def test_guard_that_never_recomputes_is_detected(self, monkeypatch):
+        # Sums loaded 5e-10 off replay the closed form even unguarded, so
+        # only the count of the guard's recomputes sees the fault.
+        monkeypatch.setattr(memory_module, "_DRIFT_TOL", np.inf)
+        ok, detail = check_incremental_matches_naive(quick=True)
+        assert not ok
+        assert detail.startswith("the drift guard never recomputed")
 
     def test_checks_pass_with_correct_constant(self):
         assert check_cache_coherence(quick=True)[0]
