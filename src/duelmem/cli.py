@@ -47,6 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None,
         help="override: run this seed instead of the config's first seed",
     )
+    run_p.set_defaults(func=_cmd_run)
 
     bench_p = sub.add_parser(
         "bench-policies", help="compare eviction policies on one config"
@@ -57,11 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--policies", default="duel,fifo,random,reservoir",
         help="comma-separated policy names",
     )
+    bench_p.set_defaults(func=_cmd_bench)
 
     verify_p = sub.add_parser("verify", help="run the invariant check suite")
     verify_p.add_argument(
         "--quick", action="store_true", help="reduced trial counts"
     )
+    verify_p.set_defaults(func=_cmd_verify)
 
     export_p = sub.add_parser(
         "export-embeddings", help="embed fresh stream samples with a checkpoint"
@@ -69,11 +72,11 @@ def build_parser() -> argparse.ArgumentParser:
     export_p.add_argument("--ckpt", required=True, help="checkpoint .npz path")
     export_p.add_argument("--out", required=True, help="output CSV path")
     export_p.add_argument("--per-class", type=int, default=100)
+    export_p.set_defaults(func=_cmd_export)
 
-    show_p = sub.add_parser(
+    sub.add_parser(
         "show-config", help="print a default config JSON to stdout"
-    )
-    del show_p
+    ).set_defaults(func=_cmd_show_config)
     return parser
 
 
@@ -106,37 +109,27 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _cmd_verify(args) -> int:
+    return 0 if run_all(quick=args.quick) else CHECK_FAILURE
+
+
 def _cmd_export(args) -> int:
     written = export_embeddings(args.ckpt, args.out, per_class=args.per_class)
     print(f"wrote {written} embeddings to {args.out}")
     return 0
 
 
-def _cmd_show_config() -> int:
+def _cmd_show_config(args) -> int:
     import json
 
     print(json.dumps(default_config_dict(), indent=2, sort_keys=True))
     return 0
 
 
-def _dispatch(args) -> int:
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "bench-policies":
-        return _cmd_bench(args)
-    if args.command == "verify":
-        return 0 if run_all(quick=args.quick) else CHECK_FAILURE
-    if args.command == "export-embeddings":
-        return _cmd_export(args)
-    if args.command == "show-config":
-        return _cmd_show_config()
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

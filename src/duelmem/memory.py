@@ -7,7 +7,7 @@ the entry with the largest row sum of the pairwise duplication-score matrix
 sums. Under the default AffineCosine kernel, q(x, y) = (1 + x.y)/2, so the
 row sum of a held entry e among n is (n + e.S)/2, with S the sum of the held
 embeddings: affine DUEL evicts the held entry most aligned with S, and
-verify.affine_duel_replay replays pushes by that closed form.
+verify.AffineDuel replays pushes by that closed form.
 
 DUEL pushes and appends keep the cache `_scores` coherent across calls, and
 no update path builds a k x k score matrix. A batched DUEL update of b

@@ -9,17 +9,20 @@ parameter that turns an update off, live in the tests, and no check repeats
 them.
 
 Each check returns (ok, detail). run_all executes every check, prints one
-line per check, and reports overall success. The quick flag shrinks trial
-counts for a fast smoke pass; tests/test_verify.py runs every check in full.
+line per check with its wall time, and reports overall success. The quick
+flag shrinks trial counts for a fast smoke pass; tests/test_verify.py runs
+every check in full.
 
 NaiveDuel and naive_select are the reference DUEL update and selection the
 incremental path is checked against: they recompute the whole score matrix
 and keep their own copy of the tie rule, so they share no code with
-ActiveMemory's DUEL path beyond the kernels and PushResult. infonce_loss,
-the single-sample loss, and numerical_gradient, central finite differences,
-are the references the trainer's batched loss and analytic gradients are
-checked against. ORACLE_KERNEL on one-hot class embeddings stands in for a
-perfect extractor.
+ActiveMemory's DUEL path beyond the kernels and PushResult. AffineDuel is
+NaiveDuel's push loop under AffineCosine with each replacement's row sums
+taken from the closed form (n + e.S)/2, the reference at 4096 entries.
+infonce_loss, the single-sample loss, and numerical_gradient, central
+finite differences, are the references the trainer's batched loss and
+analytic gradients are checked against. ORACLE_KERNEL on one-hot class
+embeddings stands in for a perfect extractor.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import math
 import tempfile
+import time
 
 import numpy as np
 
@@ -51,9 +55,9 @@ from .trainer import (
 
 __all__ = [
     "CHECKS",
+    "AffineDuel",
     "NaiveDuel",
     "ORACLE_KERNEL",
-    "affine_duel_replay",
     "infonce_loss",
     "naive_select",
     "numerical_gradient",
@@ -227,9 +231,10 @@ class NaiveDuel:
 
     Built full from `emb`, it takes pushes as an ActiveMemory with policy
     "duel" does, and must log the same victims and keep the same entries in
-    the same order. Each push builds the (k+b) x (k+b) score matrix of the
-    pool [memory; batch] and, per batch element, evicts the selected row with
-    the largest row sum over the selected rows, then selects the element.
+    the same order. Per batch element, a push evicts the selected row of the
+    pool [memory; batch] with the largest row sum over the selected rows,
+    then selects the element. Those sums come from the (k+b) x (k+b) score
+    matrix of the pool, one masked product per replacement.
     """
 
     def __init__(self, emb, labels=None, kernel=None):
@@ -240,18 +245,23 @@ class NaiveDuel:
         self.insert_steps = np.arange(n, dtype=np.int64)
         self._seen = n
 
+    def _sums_over(self, pool):
+        """Each pool row's score sum over the selected rows, as a function of
+        the boolean selection."""
+        S = pair_scores(pool, pool, self.kernel)
+        return lambda selection: S @ selection
+
     def push_batch(self, embeddings, labels=None) -> PushResult:
         X = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
         k, b = self.embeddings.shape[0], X.shape[0]
         pool = np.vstack([self.embeddings, X])
         pool_labels = np.concatenate([self.labels, _as_labels(labels, b)])
         ids = np.concatenate([self.insert_steps, self._seen + np.arange(b)])
-        S = pair_scores(pool, pool, self.kernel)
+        sums_over = self._sums_over(pool)
         selection = np.arange(k + b) < k
         victims = []
         for i in range(k, k + b):
-            sel = np.flatnonzero(selection)
-            j = int(sel[_first_max(S[np.ix_(sel, sel)].sum(axis=1))])
+            j = _first_max(np.where(selection, sums_over(selection), -np.inf))
             selection[j], selection[i] = False, True
             victims.append(j)
         self.embeddings = pool[selection]
@@ -261,28 +271,17 @@ class NaiveDuel:
         return PushResult(np.array(victims), ids[k:])
 
 
-def affine_duel_replay(E0, batches) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """DUEL victims under AffineCosine, as pool indices, and the rows held
-    after the last push with their insert ids (E0's rows are 0, 1, ... and
-    offered rows continue from there), from the closed-form row sums
-    (n + e.S)/2 over the n held rows with sum S: O((k+b) z) per
-    replacement, not O((k+b)^2 z)."""
-    held, victims = E0, []
-    ids = np.arange(E0.shape[0])
-    seen = ids.size
-    for batch in batches:
-        k, pool = held.shape[0], np.vstack([held, batch])
-        ids = np.concatenate([ids, seen + np.arange(batch.shape[0])])
-        seen += batch.shape[0]
-        sel = np.arange(pool.shape[0]) < k
-        total = held.sum(axis=0)
-        for i in range(k, pool.shape[0]):
-            j = _first_max(np.where(sel, (k + pool @ total) / 2.0, -np.inf))
-            victims.append(j)
-            sel[j], sel[i] = False, True
-            total += pool[i] - pool[j]
-        held, ids = pool[sel], ids[sel]
-    return victims, held, ids
+class AffineDuel(NaiveDuel):
+    """NaiveDuel under AffineCosine from the closed form: a row's sum over
+    the n selected rows with sum S is (n + e.S)/2, O((k+b) z) per
+    replacement instead of O((k+b)^2). The form holds for that kernel only,
+    so it takes no other."""
+
+    def __init__(self, emb, labels=None):
+        super().__init__(emb, labels, AffineCosine())
+
+    def _sums_over(self, pool):
+        return lambda selection: (np.count_nonzero(selection) + pool @ (selection @ pool)) / 2.0
 
 
 def naive_select(mem: ActiveMemory) -> int:
@@ -319,6 +318,22 @@ def check_selection_equivalence(quick: bool) -> tuple[bool, str]:
 
 
 @contextlib.contextmanager
+def _calls(owner, name, note):
+    """Record note(*args) for every call of owner.name inside the block."""
+    notes: list = []
+    inner = getattr(owner, name)
+
+    def counted(*args):
+        notes.append(note(*args))
+        return inner(*args)
+
+    setattr(owner, name, counted)
+    try:
+        yield notes
+    finally:
+        setattr(owner, name, inner)
+
+
 def _score_products():
     """Record the shape of every score product a DUEL push makes, each a
     block of memory.pair_terms, as (rows, columns).
@@ -328,35 +343,45 @@ def _score_products():
     block is the row of a victim outside it. Every block has a column per
     candidate, held or offered (see the memory module's "Candidates").
     """
-    rows: list[tuple[int, int]] = []
-    inner = memory_module.pair_terms
+    return _calls(memory_module, "pair_terms", lambda X, Y, *_: (len(X), len(Y)))
 
-    def counted(X, Y, *args):
-        rows.append((len(X), len(Y)))
-        return inner(X, Y, *args)
 
-    memory_module.pair_terms = counted
-    try:
-        yield rows
-    finally:
-        memory_module.pair_terms = inner
+def _dominant_stream(rng, n, z, repeat=0.0):
+    """n unit rows about 6 random centres, and their classes, drawn at
+    Dominant(0.75) with noise 0.35; with `repeat`, each row after the first
+    is that often an exact copy of an earlier one."""
+    classes = rng.choice(6, size=n, p=Dominant(0.75).probs(6))
+    X = normalize(_random_unit(rng, 6, z)[classes] + 0.35 * rng.normal(size=(n, z)))
+    if repeat:
+        for i in np.flatnonzero(rng.random(n - 1) < repeat) + 1:
+            X[i] = X[rng.integers(i)]
+    return X, classes
 
 
 def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     """Batched incremental updates replay NaiveDuel exactly, on both the
-    victim block's rows and rows computed outside it, and the affine closed
-    form in a memory of 4096, whose pushes run over candidate sets, also
-    from a loaded state whose sums are off by up to 5e-10, where the drift
-    guard must recompute; in full mode also under the exp kernel in a
-    memory of 1024."""
+    victim block's rows and rows computed outside it, and AffineDuel in a
+    memory of 4096, whose pushes run over candidate sets, also from a loaded
+    state whose sums are off by up to 5e-10, where the drift guard must
+    recompute; in full mode also NaiveDuel under the exp kernel in a memory
+    of 1024."""
     rng = np.random.default_rng(16)
     trials = 20 if quick else 200
-    blocks = outside = 0
+    pushes = blocks = outside = recomputes = 0
+    near: list[int] = []  # per push over a candidate set, its held entries
 
     def replay(fast, slow, batch, labels=None) -> tuple[PushResult, str | None]:
-        nonlocal blocks, outside
-        with _score_products() as products:
+        """Push batch into both memories; the first difference, if any."""
+        nonlocal pushes, blocks, outside, recomputes
+        with (
+            _score_products() as products,
+            _calls(ActiveMemory, "_row_sums", lambda *_: None) as guard,
+        ):
             events = fast.push_batch(batch, labels)
+        pushes += 1
+        recomputes += len(guard)
+        if products[0][1] < fast.size + len(batch):
+            near.append(products[0][1] - len(batch))
         # A block of one row, for a second victim picked for the batch's
         # last row, has no later victims and goes uncounted.
         built = [n > 1 for n, _ in products[1:]]
@@ -451,80 +476,43 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
     if not (blocks and outside):
         return False, f"{blocks} pushes built a victim block, {outside} victims read a row outside one"
     # The filter_duel shape against the affine closed form: batches of 64 into
-    # 4096 entries from a dominant-cluster stream, a tenth of rows repeated.
-    # A push runs over the held entries within 2b of the (b+1)-th largest
-    # cached sum, and the batch: `near` holds each such push's held count.
+    # 4096 entries from a dominant-cluster stream, a tenth of rows repeated,
+    # from a fresh start and from the same start loaded with its cached sums
+    # off by up to 5e-10, which load_state_dict accepts: there the drift
+    # guard must recompute. A push runs over the held entries within 2b of
+    # the (b+1)-th largest cached sum, and the batch.
     k, b, z, wide, loaded_pushes = 4096, 64, 16, 4 if quick else 32, 4
-    classes = rng.choice(6, size=k + wide * b, p=Dominant(0.75).probs(6))
-    X = normalize(_random_unit(rng, 6, z)[classes] + 0.35 * rng.normal(size=(classes.size, z)))
-    for i in np.flatnonzero(rng.random(classes.size - 1) < 0.1) + 1:
-        X[i] = X[rng.integers(i)]
-    fast, batches = ActiveMemory.from_arrays(X[:k], policy="duel"), np.split(X[k:], wide)
-    start = fast.state_dict()
-    near: list[int] = []
-
-    def push_all(mem, batches) -> list[int]:
-        victims = []
-        for batch in batches:
-            with _score_products() as products:
-                victims += mem.push_batch(batch).victims.tolist()
-            if products[0][1] < k + b:
-                near.append(products[0][1] - b)
-        return victims
-
-    def diverges(mem, victims, batches) -> str | None:
-        expected, held, ids = affine_duel_replay(X[:k], batches)
-        drift = np.max(np.abs(mem.scores - mem.recomputed_scores()))
-        if victims != expected or not np.array_equal(mem.embeddings, held):
-            return f"memory of {k} diverges from the affine replay"
-        if not np.array_equal(mem.insert_steps, ids):
-            return f"memory of {k} keeps other insert ids than the affine replay"
-        if drift > 1e-9:
-            return f"memory of {k} drifted by {drift:.1e}"
-        return None
-
-    fault = diverges(fast, push_all(fast, batches), batches)
-    if fault:
-        return False, fault
-    # The same start loaded with its cached sums off by up to 5e-10, which
-    # load_state_dict accepts: the drift guard must recompute, and the
-    # pushes must still replay the closed form.
+    X, classes = _dominant_stream(rng, k + wide * b, z, repeat=0.1)
+    fast = ActiveMemory.from_arrays(X[:k], classes[:k], policy="duel")
+    start, first = fast.state_dict(), len(near)
     start["scores"][:k] += rng.uniform(-5e-10, 5e-10, size=k)
     loaded = ActiveMemory(k, z, policy="duel")
     loaded.load_state_dict(start)
-    recomputes = 0
-    row_sums = loaded._row_sums
-
-    def counted_row_sums(*args):
-        nonlocal recomputes
-        recomputes += 1
-        return row_sums(*args)
-
-    loaded._row_sums = counted_row_sums
-    victims = push_all(loaded, batches[:loaded_pushes])
-    del loaded._row_sums  # the pushes' recomputes only
-    fault = diverges(loaded, victims, batches[:loaded_pushes])
-    if fault:
-        return False, f"{fault}, loaded with sums off by 5e-10"
-    if recomputes == 0:
+    series = ((fast, wide, ""), (loaded, loaded_pushes, ", loaded with sums off by 5e-10"))
+    for mem, n, how in series:
+        # Recomputes counted from `before` on are the loaded pushes' own.
+        slow, before = AffineDuel(X[:k], classes[:k]), recomputes
+        for p in range(n):
+            rows = slice(k + p * b, k + (p + 1) * b)
+            _, fault = replay(mem, slow, X[rows], classes[rows])
+            if fault:
+                return False, f"{fault} on push {p} into a memory of {k}{how}"
+    if recomputes == before:
         return False, (
             f"the drift guard never recomputed in {loaded_pushes} pushes from sums off by 5e-10"
         )
-    if not near:
+    if len(near) == first:
         return False, f"no push into {k} ran over a candidate set"
-    wide += loaded_pushes
-    pushes = 2 * trials + (1 if quick else 3) + 3 + wide
     detail = (
-        f"{pushes} batched updates ({wide} into {k}, {len(near)} of them over a candidate"
-        f" set of median {int(np.median(near))} held entries; {loaded_pushes} from a loaded"
-        f" state, with {recomputes} drift-guard recompute(s)), both kernels, {cluster}"
+        f"{wide + loaded_pushes} into {k}, {len(near) - first} of them over a candidate set of"
+        f" median {int(np.median(near[first:]))} held entries; {loaded_pushes} from a loaded"
+        f" state, with {recomputes - before} drift-guard recompute(s)), both kernels, {cluster}"
     )
     if not quick:
         # The exp kernel at scale: batches of 64 into 1024 entries from a
         # dominant-cluster stream, replayed against NaiveDuel at two tau.
         k, b, z, n_push = 1024, 64, 16, 5
-        classes = rng.choice(6, size=k + n_push * b, p=Dominant(0.75).probs(6))
-        X = normalize(_random_unit(rng, 6, z)[classes] + 0.35 * rng.normal(size=(classes.size, z)))
+        X, classes = _dominant_stream(rng, k + n_push * b, z)
         for tau in (0.1, 0.5):
             kernel = ExponentialTemp(tau=tau)
             fast = ActiveMemory.from_arrays(X[:k], classes[:k], kernel=kernel, policy="duel")
@@ -536,7 +524,8 @@ def check_incremental_matches_naive(quick: bool) -> tuple[bool, str]:
                     return False, f"{fault} on push {p} into a memory of {k} ({kernel})"
         detail += f"; exp tau 0.1 and 0.5: {n_push} pushes of {b} into {k} each"
     return True, (
-        f"{detail}; {blocks} built a victim block, {outside} victims read a row outside one"
+        f"{pushes} batched updates ({detail}; {blocks} built a victim block,"
+        f" {outside} victims read a row outside one"
     )
 
 
@@ -821,13 +810,16 @@ CHECKS = [
 
 
 def run_all(quick: bool = False, printer=print) -> bool:
-    """Run every check; print PASS/FAIL per line; True iff all passed."""
+    """Run every check; print PASS/FAIL per line, with the check's wall
+    time; True iff all passed."""
     all_ok = True
     for name, fn in CHECKS:
+        t0 = time.perf_counter()
         try:
             ok, detail = fn(quick)
         except Exception as exc:  # a crash is a failure, not an abort
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         all_ok &= ok
-        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        seconds = time.perf_counter() - t0
+        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail} [{seconds:.1f} s]")
     return all_ok

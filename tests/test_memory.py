@@ -21,8 +21,8 @@ from duelmem.kernels import (
 from duelmem.memory import POLICIES, ActiveMemory, guarded_update
 from duelmem.verify import (
     ORACLE_KERNEL,
+    AffineDuel,
     NaiveDuel,
-    affine_duel_replay,
     check_cache_coherence,
     check_incremental_matches_naive,
     check_kernel_invariants,
@@ -224,6 +224,23 @@ class TestIncrementalNaiveEquivalence:
             assert np.array_equal(fast.embeddings, slow.embeddings)
             assert _drift(fast) <= 1e-12
 
+    def test_affine_duel_replays_naive_duel(self):
+        # The closed form (n + e.S)/2 against the affine score matrix, on
+        # clustered rows of which a fifth repeat an earlier row exactly; the
+        # last batch is larger than the memory.
+        rng = np.random.default_rng(44)
+        k, sizes = 40, [8] * 6 + [56]
+        X, labels = _clustered(rng, k + sum(sizes), 6, repeat_share=0.2)
+        closed = AffineDuel(X[:k], labels[:k])
+        naive = NaiveDuel(X[:k], labels[:k], kernel=AffineCosine())
+        for p, rows in enumerate(np.split(np.arange(k, len(X)), np.cumsum(sizes)[:-1])):
+            assert closed.push_batch(X[rows], labels[rows]) == naive.push_batch(
+                X[rows], labels[rows]
+            ), p
+            assert np.array_equal(closed.embeddings, naive.embeddings), p
+            assert np.array_equal(closed.labels, naive.labels), p
+            assert np.array_equal(closed.insert_steps, naive.insert_steps), p
+
     def test_single_element_batch_equals_select_and_replace(self):
         rng = np.random.default_rng(3)
         emb = _unit(rng, 10, 4)
@@ -259,6 +276,13 @@ def _clustered(rng, n, z, classes=6, repeat_share=0.1):
             src = int(rng.integers(i))
             X[i], labels[i] = X[src], labels[src]
     return X, labels
+
+
+def _affine_replay(emb, batches):
+    """AffineDuel's victims over the batches, from a memory of emb, and the
+    replayed memory."""
+    ref = AffineDuel(emb)
+    return [v for batch in batches for v in ref.push_batch(batch).victims.tolist()], ref
 
 
 def _drift(mem):
@@ -297,10 +321,10 @@ class TestLongHorizon:
             victims += mem.push_batch(batch).victims.tolist()
             if p % 1000 == 999:
                 assert _drift(mem) <= 1e-9, f"push {p}"
-        expected, held, ids = affine_duel_replay(X[:k], batches)
+        expected, ref = _affine_replay(X[:k], batches)
         assert victims == expected
-        assert np.array_equal(mem.embeddings, held)
-        assert np.array_equal(mem.insert_steps, ids)
+        assert np.array_equal(mem.embeddings, ref.embeddings)
+        assert np.array_equal(mem.insert_steps, ref.insert_steps)
 
     @pytest.mark.parametrize("policy", ["fifo", "random", "reservoir"])
     def test_baselines_stay_coherent_over_1k_pushes(self, policy):
@@ -847,10 +871,10 @@ class TestCandidates:
         mem = ActiveMemory.from_arrays(emb, labels)
         victims, near = _push_all(mem, batches)
         assert all(n < self.K for n in near), near
-        expected, held, ids = affine_duel_replay(emb, batches)
+        expected, ref = _affine_replay(emb, batches)
         assert victims == expected
-        assert np.array_equal(mem.embeddings, held)
-        assert np.array_equal(mem.insert_steps, ids)
+        assert np.array_equal(mem.embeddings, ref.embeddings)
+        assert np.array_equal(mem.insert_steps, ref.insert_steps)
         assert _drift(mem) <= 1e-11
 
     def test_candidates_cut_to_the_b_plus_one_largest_diverge(self, monkeypatch):
@@ -862,7 +886,7 @@ class TestCandidates:
         mem = ActiveMemory.from_arrays(emb, labels)
         victims, near = _push_all(mem, batches)
         assert near[0] == self.B + 1
-        assert victims != affine_duel_replay(emb, batches)[0]
+        assert victims != _affine_replay(emb, batches)[0]
 
     @settings(max_examples=40, deadline=None)
     @given(
